@@ -46,11 +46,26 @@ class Cache {
   /// instead of l1's DRAM penalty (l2 == nullptr degrades to l1-only).
   /// Returns the cycles *beyond* l1's hit latency — the "excess" the core
   /// charges on top of its base CPI.
-  static Cycles hierarchy_access(Cache& l1, Cache* l2, PhysAddr pa, bool is_write);
+  static Cycles hierarchy_access(Cache& l1, Cache* l2, PhysAddr pa, bool is_write) {
+    const CacheAccessResult r1 = l1.access(pa, is_write);
+    if (r1.hit || l2 == nullptr) return r1.cycles - l1.config().hit_latency;
+    return l2_refill(l1, *l2, r1, pa, is_write);
+  }
 
   /// Simulate an access to physical address `pa`. Write accesses mark the
   /// line dirty (write-allocate, write-back policy).
-  CacheAccessResult access(PhysAddr pa, bool is_write);
+  CacheAccessResult access(PhysAddr pa, bool is_write) {
+    const u64 block = pa >> line_shift_;
+    // Same block as the previous access: that line is valid and MRU, and no
+    // other access has run since, so the way scan would find exactly it.
+    if (block == last_block_ && last_line_ != nullptr) {
+      last_line_->lru_tick = ++tick_;
+      last_line_->dirty = last_line_->dirty || is_write;
+      hits_.add();
+      return {true, cfg_.hit_latency};
+    }
+    return access_scan(block, is_write);
+  }
 
   /// Drop every line (e.g., fence.i on the I-cache).
   void invalidate_all();
@@ -68,6 +83,12 @@ class Cache {
     u64 tag = 0;
     u64 lru_tick = 0;
   };
+
+  /// access() past the memo: the way scan, and the fill on a miss.
+  CacheAccessResult access_scan(u64 block, bool is_write);
+  /// hierarchy_access() after an l1 miss.
+  static Cycles l2_refill(const Cache& l1, Cache& l2, CacheAccessResult r1,
+                          PhysAddr pa, bool is_write);
 
   CacheConfig cfg_;
   unsigned num_sets_;

@@ -6,21 +6,16 @@ namespace ptstore {
 
 u64 Tlb::vpn_mask(unsigned level) {
   // Sv39 VPN is 27 bits (3 x 9). A level-N leaf ignores the low 9*N VPN bits.
-  return mask_lo(27) & ~mask_lo(9 * level);
+  return kVpnMask & ~mask_lo(9 * level);
 }
 
 const TlbEntry* Tlb::lookup(VirtAddr va, u16 asid) {
-  const u64 vpn = (va >> kPageShift) & mask_lo(27);
-  ++tick_;
-
   // Repeat of the previous hit: no insert/flush ran since (those drop the
   // memo), so the same entry is still the scan's first match.
-  if (last_entry_ != nullptr && vpn == last_vpn_ && asid == last_asid_) {
-    last_entry_->lru_tick = tick_;
-    hits_.add();
-    return last_entry_;
-  }
+  if (const TlbEntry* e = rehit(va, asid)) return e;
 
+  const u64 vpn = (va >> kPageShift) & kVpnMask;
+  ++tick_;
   for (auto& e : slots_) {
     if (!e.valid) continue;
     if (!e.global && e.asid != asid) continue;
@@ -39,7 +34,7 @@ const TlbEntry* Tlb::lookup(VirtAddr va, u16 asid) {
 }
 
 void Tlb::insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global) {
-  const u64 vpn = (va >> kPageShift) & mask_lo(27);
+  const u64 vpn = (va >> kPageShift) & kVpnMask;
   ++tick_;
   TlbEntry* victim = &slots_[0];
   for (auto& e : slots_) {
@@ -62,7 +57,7 @@ void Tlb::insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global) {
 
 void Tlb::flush(std::optional<VirtAddr> va, std::optional<u16> asid) {
   const std::optional<u64> vpn =
-      va ? std::optional<u64>((*va >> kPageShift) & mask_lo(27)) : std::nullopt;
+      va ? std::optional<u64>((*va >> kPageShift) & kVpnMask) : std::nullopt;
   for (auto& e : slots_) {
     if (!e.valid) continue;
     // Per the privileged spec, ASID-specific flushes do not remove global

@@ -56,6 +56,20 @@ class Tlb {
   /// VA within their reach.
   const TlbEntry* lookup(VirtAddr va, u16 asid);
 
+  /// lookup() restricted to its memo branch: when the memo covers `va`'s
+  /// page under `asid`, apply exactly that branch's effects (tick, LRU,
+  /// hits) and return the entry; otherwise return nullptr with no effect,
+  /// and the caller falls back to lookup().
+  const TlbEntry* rehit(VirtAddr va, u16 asid) {
+    const u64 vpn = (va >> kPageShift) & kVpnMask;
+    if (last_entry_ == nullptr || vpn != last_vpn_ || asid != last_asid_) {
+      return nullptr;
+    }
+    last_entry_->lru_tick = ++tick_;
+    hits_.add();
+    return last_entry_;
+  }
+
   /// Insert a translation; evicts LRU.
   void insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global);
 
@@ -70,6 +84,7 @@ class Tlb {
 
  private:
   static u64 vpn_mask(unsigned level);
+  static constexpr u64 kVpnMask = (u64{1} << 27) - 1;  ///< Sv39 VPN bits.
   TlbConfig cfg_;
   std::vector<TlbEntry> slots_;
   u64 tick_ = 0;

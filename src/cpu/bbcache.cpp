@@ -3,8 +3,9 @@
 // cycles, TLB/PTW/cache counters, trap behaviour — happens in exactly the
 // order and quantity the classic fetch/decode path (step_fetch_decode)
 // would produce. Only host work with no simulated trace (the PMP way scan
-// when it allows, the physical parcel reads, decode_any) is skipped, and
-// each skip is justified by a generation guard checked *before* the skip.
+// when it allows, the physical parcel reads, decode_any, the full translate
+// of a PC the ITLB memo covers) is skipped, and each skip is justified by a
+// guard checked *before* the skip.
 #include "common/bits.h"
 #include "cpu/core.h"
 #include "telemetry/trace.h"
@@ -104,11 +105,17 @@ StepResult Core::step_cached() {
 
   if (!is_aligned(pc_, 2)) return step_fetch_decode(nullptr);
 
-  // The real per-step translation. This is what keeps satp writes,
-  // sfence.vma, ASID switches, and remaps hook-free: the physical PC is
-  // re-derived every step with full TLB/PTW stat effects.
-  TranslateResult t0 = mmu_.translate(pc_, AccessType::kExecute,
-                                      AccessKind::kRegular, ctx_for(priv_));
+  // The per-step translation. This is what keeps satp writes, sfence.vma,
+  // ASID switches, and remaps hook-free: the physical PC is re-derived every
+  // step with full TLB/PTW stat effects. While the ITLB memo covers the PC
+  // (the cursor walking a block, a loop jumping back within its page) the
+  // TLB hit is replayed from the memo entry; a walk, satp/ASID switch or
+  // sfence drops or misses the memo and the real translate runs.
+  const TranslationContext ctx = ctx_for(priv_);
+  TranslateResult t0;
+  if (!mmu_.rehit_fetch(pc_, ctx, t0)) {
+    t0 = mmu_.translate(pc_, AccessType::kExecute, AccessKind::kRegular, ctx);
+  }
   cycles_ += t0.cycles;
   if (!t0.ok) {
     bb_cur_ = nullptr;
@@ -162,9 +169,15 @@ StepResult Core::step_cached() {
   if (in.len == 4) {
     // The high parcel lies in the same page (builds reject straddlers), so
     // this translation sees the same leaf: it cannot fault, and its TLB/
-    // I-cache effects replay the classic path's second-parcel fetch.
-    TranslateResult t1 = mmu_.translate(pc_ + 2, AccessType::kExecute,
-                                        AccessKind::kRegular, ctx_for(priv_));
+    // I-cache effects replay the classic path's second-parcel fetch. After
+    // a TLB hit on the low parcel that is a memo re-hit; after a walk (its
+    // insert dropped the memo) translate replays the scan's hit. The I-cache
+    // access stays: at line offset 62 the high parcel is in the next line.
+    TranslateResult t1;
+    if (!mmu_.rehit_fetch(pc_ + 2, ctx, t1)) {
+      t1 = mmu_.translate(pc_ + 2, AccessType::kExecute, AccessKind::kRegular,
+                          ctx);
+    }
     cycles_ += t1.cycles;
     if (!t1.ok) return raise(t1.fault, pc_ + 2);
     assert(t1.pa == t0.pa + 2);
@@ -179,7 +192,10 @@ StepResult Core::step_cached() {
   const u64 prev_pc = pc_;
   const u64 inv_before = bbcache_.stats.invalidations;
   const StepResult r = execute(in);
-  if (r.stop != StopReason::kTrapped) ++instret_;
+  if (r.stop != StopReason::kTrapped) {
+    ++instret_;
+    ++interp_instret_;
+  }
 
   // Arm the cursor when execution fell through to the next entry. The
   // invalidation-counter check proves no block was destroyed during

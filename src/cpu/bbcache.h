@@ -3,7 +3,7 @@
 // Blocks are straight-line runs of pre-decoded instructions keyed by the
 // *physical* address of their first parcel (plus the fetch privilege, since
 // the cached PMP fetch decision depends on it). Dispatch is per step: every
-// step still performs the real MMU translation of the fetch PC — so TLB,
+// step still translates the fetch PC with full MMU effects — so TLB,
 // page-table-walker, and I-cache counters stay bit-identical to the
 // fetch/decode path — and only the PMP scan, the physical parcel reads, and
 // decode_any() are skipped, guarded by generation counters:
@@ -19,8 +19,23 @@
 // the architectural "I just wrote code" signal), although the frame
 // generations already make that a no-op for correctness.
 //
-// The cache is a pure host-speed structure: simulated cycles and every
-// StatSet counter are unchanged whether it is on or off.
+// The rule for the whole step fast path: skip host work, replay every
+// simulated effect. The memos it leans on, each with the guard it rests on:
+//
+//   * ITLB memo (Tlb::rehit via Mmu::rehit_fetch) — both parcels' fetch
+//     translations replay lookup()'s memo hit (tick, LRU, hits) instead of
+//     a full translate(). Dropped on every TLB insert and flush, keyed on
+//     VPN + ASID; M-mode and Bare mode keep the identity path.
+//   * PMP match memo (PmpUnit) — decoded entry ranges and the entry each
+//     recent address run matches; rebuilt when write_gen() moves. The
+//     verdict is recomputed from (entry, type, kind, priv) on every access.
+//   * PhysMem last-frame memo — reset by restore_frames(), which also bumps
+//     frame_table_gen().
+//   * Cache last-line memo — replaced by every access, dropped by
+//     invalidate_all().
+//
+// Simulated cycles and every StatSet counter are unchanged whether the
+// cache is on or off.
 #pragma once
 
 #include <memory>

@@ -41,14 +41,6 @@ void Core::load_code(PhysAddr base, const std::vector<u32>& words) {
   }
 }
 
-TranslationContext Core::ctx_for(Privilege priv) const {
-  return TranslationContext{
-      .priv = priv,
-      .sum = (mstatus_ & csr::mstatus::kSum) != 0,
-      .mxr = (mstatus_ & csr::mstatus::kMxr) != 0,
-  };
-}
-
 MemAccessResult Core::access(VirtAddr va, unsigned size, AccessType type,
                              AccessKind kind, u64 store_value) {
   return access_as(va, size, type, kind, priv_, store_value);

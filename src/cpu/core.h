@@ -164,6 +164,10 @@ class Core {
   Cycles cycles() const { return cycles_; }
   void add_cycles(Cycles c) { cycles_ += c; }
   u64 instret() const { return instret_; }
+  /// Host-side count of the instructions step() interpreted and retired;
+  /// retire_abstract() charges are not in it. Not machine state: checkpoints
+  /// neither save nor restore it and no StatSet publishes it.
+  u64 interp_instret() const { return interp_instret_; }
   /// Charge `n` abstractly-executed instructions (workload models).
   void retire_abstract(u64 n, Cycles per_inst = 1) {
     instret_ += n;
@@ -269,7 +273,13 @@ class Core {
   void do_sret();
   void do_mret();
   bool csr_accessible(u32 num, Privilege as, bool write) const;
-  TranslationContext ctx_for(Privilege priv) const;
+  TranslationContext ctx_for(Privilege priv) const {
+    return TranslationContext{
+        .priv = priv,
+        .sum = (mstatus_ & isa::csr::mstatus::kSum) != 0,
+        .mxr = (mstatus_ & isa::csr::mstatus::kMxr) != 0,
+    };
+  }
 
   PhysMem& mem_;
   CoreConfig cfg_;
@@ -285,6 +295,7 @@ class Core {
   Privilege priv_ = Privilege::kMachine;
   Cycles cycles_ = 0;
   u64 instret_ = 0;
+  u64 interp_instret_ = 0;  ///< See interp_instret().
 
   // CSRs.
   u64 mstatus_ = 0;

@@ -74,7 +74,10 @@ StepResult Core::step_fetch_decode(const TranslateResult* pre) {
   }
 
   const StepResult r = execute(in);
-  if (r.stop != StopReason::kTrapped) ++instret_;
+  if (r.stop != StopReason::kTrapped) {
+    ++instret_;
+    ++interp_instret_;
+  }
   return r;
 }
 

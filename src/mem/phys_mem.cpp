@@ -24,22 +24,27 @@ const PhysMem::Window* PhysMem::find_device(PhysAddr pa, u64 size) const {
 
 u8* PhysMem::frame_for(PhysAddr pa) {
   const u64 frame = (pa - dram_base_) >> kPageShift;
-  auto it = frames_.find(frame);
-  if (it == frames_.end()) {
+  Frame* f = find_frame(frame);
+  if (f == nullptr) {
     auto buf = std::make_unique<u8[]>(kPageSize);
     std::memset(buf.get(), 0, kPageSize);
-    it = frames_.emplace(frame, Frame{std::move(buf), 0}).first;
+    f = &frames_.emplace(frame, Frame{std::move(buf), 0}).first->second;
+    last_index_ = frame;
+    last_frame_ = f;
   }
   // Every caller is a write path (write_block/fill), so each materialized
   // pointer handed out corresponds to a mutation of the frame.
-  ++it->second.write_gen;
-  return it->second.data.get();
+  ++f->write_gen;
+  return f->data.get();
 }
 
 u64 PhysMem::read(PhysAddr pa, unsigned size) {
   assert(size == 1 || size == 2 || size == 4 || size == 8);
-  if (const Window* w = find_device(pa, size)) {
-    return w->dev->mmio_read(pa - w->base, size);
+  // map_device keeps device windows out of DRAM, so DRAM needs no search.
+  if (!is_dram(pa, size)) {
+    if (const Window* w = find_device(pa, size)) {
+      return w->dev->mmio_read(pa - w->base, size);
+    }
   }
   assert(is_dram(pa, size) && "physical read outside backed memory");
   u64 v = 0;
@@ -49,9 +54,11 @@ u64 PhysMem::read(PhysAddr pa, unsigned size) {
 
 void PhysMem::write(PhysAddr pa, unsigned size, u64 value) {
   assert(size == 1 || size == 2 || size == 4 || size == 8);
-  if (const Window* w = find_device(pa, size)) {
-    w->dev->mmio_write(pa - w->base, size, value);
-    return;
+  if (!is_dram(pa, size)) {
+    if (const Window* w = find_device(pa, size)) {
+      w->dev->mmio_write(pa - w->base, size, value);
+      return;
+    }
   }
   assert(is_dram(pa, size) && "physical write outside backed memory");
   write_block(pa, &value, size);
@@ -65,11 +72,10 @@ void PhysMem::read_block(PhysAddr pa, void* out, u64 len) {
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
     // Reads never materialize frames: untouched memory is zero.
-    auto it = frames_.find(frame);
-    if (it == frames_.end()) {
-      std::memset(dst, 0, chunk);
+    if (const Frame* f = find_frame(frame)) {
+      std::memcpy(dst, f->data.get() + off, chunk);
     } else {
-      std::memcpy(dst, it->second.data.get() + off, chunk);
+      std::memset(dst, 0, chunk);
     }
     pa += chunk;
     dst += chunk;
@@ -134,6 +140,7 @@ std::vector<std::pair<u64, std::vector<u8>>> PhysMem::snapshot_frames() const {
 void PhysMem::restore_frames(
     const std::vector<std::pair<u64, std::vector<u8>>>& frames) {
   frames_.clear();
+  last_frame_ = nullptr;
   ++table_gen_;  // Old frame_write_gen() pointers are now dangling.
   for (const auto& [frame, bytes] : frames) {
     assert(bytes.size() == kPageSize);

@@ -31,6 +31,10 @@ class PhysMem {
   /// DRAM occupies [dram_base, dram_base + dram_size).
   PhysMem(PhysAddr dram_base, u64 dram_size)
       : dram_base_(dram_base), dram_size_(dram_size) {}
+  // The last-frame memo points into frames_, so copies and moves would
+  // leave an object pointing into another one's table.
+  PhysMem(const PhysMem&) = delete;
+  PhysMem& operator=(const PhysMem&) = delete;
 
   PhysAddr dram_base() const { return dram_base_; }
   u64 dram_size() const { return dram_size_; }
@@ -123,11 +127,24 @@ class PhysMem {
   };
 
   u8* frame_for(PhysAddr pa);
+  /// The materialized frame with index `frame`, or nullptr. Repeats of the
+  /// previous hit reuse its node: unordered_map nodes never move, and only
+  /// restore_frames() erases (it drops the memo).
+  Frame* find_frame(u64 frame) {
+    if (frame == last_index_ && last_frame_ != nullptr) return last_frame_;
+    const auto it = frames_.find(frame);
+    if (it == frames_.end()) return nullptr;
+    last_index_ = frame;
+    last_frame_ = &it->second;
+    return last_frame_;
+  }
   const Window* find_device(PhysAddr pa, u64 size) const;
 
   PhysAddr dram_base_;
   u64 dram_size_;
   std::unordered_map<u64, Frame> frames_;
+  u64 last_index_ = 0;            ///< Frame index of last_frame_.
+  Frame* last_frame_ = nullptr;   ///< Host-side memo of find_frame's last hit.
   u64 table_gen_ = 0;
   std::vector<Window> devices_;
 };

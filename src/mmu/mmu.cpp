@@ -6,12 +6,6 @@ namespace ptstore {
 
 namespace {
 
-/// Sv39 virtual addresses must be canonical: bits [63:39] replicate bit 38.
-bool canonical(VirtAddr va) {
-  const i64 s = static_cast<i64>(va);
-  return (s << 25 >> 25) == s;
-}
-
 u64 vpn_index(VirtAddr va, unsigned level) {
   return bits(va, 12 + 9 * level, 9);
 }
@@ -42,31 +36,6 @@ Mmu::Mmu(PhysMem& mem, PmpUnit& pmp, const TlbConfig& itlb_cfg,
       ad_updates_(bank_.counter("mmu.ad_updates", "hardware A/D bit writebacks")),
       sfences_(bank_.counter("mmu.sfence", "sfence.vma executions")) {}
 
-isa::TrapCause Mmu::leaf_check(u64 leaf, AccessType type,
-                               const TranslationContext& ctx) const {
-  using isa::TrapCause;
-  const bool u_page = (leaf & pte::kU) != 0;
-  if (ctx.priv == Privilege::kUser && !u_page) return isa::page_fault_for(type);
-  if (ctx.priv == Privilege::kSupervisor && u_page) {
-    // SUM allows S-mode loads/stores to U pages, never instruction fetch.
-    if (type == AccessType::kExecute || !ctx.sum) return isa::page_fault_for(type);
-  }
-  switch (type) {
-    case AccessType::kRead: {
-      const bool readable = (leaf & pte::kR) || (ctx.mxr && (leaf & pte::kX));
-      if (!readable) return TrapCause::kLoadPageFault;
-      break;
-    }
-    case AccessType::kWrite:
-      if (!(leaf & pte::kW)) return TrapCause::kStorePageFault;
-      break;
-    case AccessType::kExecute:
-      if (!(leaf & pte::kX)) return TrapCause::kInstPageFault;
-      break;
-  }
-  return TrapCause::kNone;
-}
-
 TranslateResult Mmu::translate(VirtAddr va, AccessType type, AccessKind kind,
                                const TranslationContext& ctx) {
   TranslateResult res;
@@ -87,20 +56,10 @@ TranslateResult Mmu::translate(VirtAddr va, AccessType type, AccessKind kind,
   const u16 asid = static_cast<u16>(isa::satp::asid(satp_));
   Tlb& tlb = (type == AccessType::kExecute) ? itlb_ : dtlb_;
   if (const TlbEntry* e = tlb.lookup(va, asid)) {
-    const isa::TrapCause fault = leaf_check(e->pte, type, ctx);
-    if (fault != isa::TrapCause::kNone) {
-      res.fault = fault;
-      return res;
-    }
     // Writes through an entry whose D bit is clear re-walk so hardware can
     // set D (and so stale-clean entries behave like real TLBs).
-    if (!(type == AccessType::kWrite && !(e->pte & pte::kD))) {
-      const u64 off_mask = mask_lo(12 + 9 * e->level);
-      res.ok = true;
-      res.tlb_hit = true;
-      res.pa = (pte::pa(e->pte) & ~off_mask) | (va & off_mask);
-      res.leaf_pte = e->pte;
-      res.level = e->level;
+    fill_tlb_hit(res, *e, va, type, ctx);
+    if (!res.ok || !(type == AccessType::kWrite && !(e->pte & pte::kD))) {
       return res;
     }
   }

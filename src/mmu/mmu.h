@@ -86,6 +86,26 @@ class Mmu {
   TranslateResult translate(VirtAddr va, AccessType type, AccessKind kind,
                             const TranslationContext& ctx);
 
+  /// translate() of an instruction fetch, taken through the ITLB memo only.
+  /// When paging applies and the memo covers `va`, this is translate()'s
+  /// TLB-hit path — Tlb::rehit's effects, leaf_check, and the PA from the
+  /// entry's PTE — with the result (possibly a fault) written into `out`,
+  /// which must be default-constructed; it returns true. Otherwise it
+  /// returns false with no effect and the caller runs translate(). Fetches
+  /// never take the D-bit re-walk, so which of the two ran is unobservable.
+  bool rehit_fetch(VirtAddr va, const TranslationContext& ctx,
+                   TranslateResult& out) {
+    if (ctx.priv == Privilege::kMachine ||
+        isa::satp::mode(satp_) == isa::satp::kModeBare || !canonical(va)) {
+      return false;
+    }
+    const TlbEntry* e =
+        itlb_.rehit(va, static_cast<u16>(isa::satp::asid(satp_)));
+    if (e == nullptr) return false;
+    fill_tlb_hit(out, *e, va, AccessType::kExecute, ctx);
+    return true;
+  }
+
   /// sfence.vma: flush both TLBs (all, by address, and/or by ASID).
   void sfence(std::optional<VirtAddr> va, std::optional<u16> asid);
 
@@ -114,8 +134,51 @@ class Mmu {
                        const TranslationContext& ctx);
   TranslateResult walk_impl(VirtAddr va, AccessType type, AccessKind kind,
                             const TranslationContext& ctx);
+  /// Sv39 virtual addresses must be canonical: bits [63:39] replicate bit 38.
+  static bool canonical(VirtAddr va) {
+    const i64 s = static_cast<i64>(va);
+    return (s << 25 >> 25) == s;
+  }
+
   /// Apply leaf-PTE permission rules; returns kNone when access is allowed.
-  isa::TrapCause leaf_check(u64 leaf, AccessType type, const TranslationContext& ctx) const;
+  static isa::TrapCause leaf_check(u64 leaf, AccessType type,
+                                   const TranslationContext& ctx) {
+    const bool u_page = (leaf & pte::kU) != 0;
+    if (ctx.priv == Privilege::kUser && !u_page) return isa::page_fault_for(type);
+    if (ctx.priv == Privilege::kSupervisor && u_page) {
+      // SUM allows S-mode loads/stores to U pages, never instruction fetch.
+      if (type == AccessType::kExecute || !ctx.sum) return isa::page_fault_for(type);
+    }
+    switch (type) {
+      case AccessType::kRead: {
+        const bool readable = (leaf & pte::kR) || (ctx.mxr && (leaf & pte::kX));
+        if (!readable) return isa::TrapCause::kLoadPageFault;
+        break;
+      }
+      case AccessType::kWrite:
+        if (!(leaf & pte::kW)) return isa::TrapCause::kStorePageFault;
+        break;
+      case AccessType::kExecute:
+        if (!(leaf & pte::kX)) return isa::TrapCause::kInstPageFault;
+        break;
+    }
+    return isa::TrapCause::kNone;
+  }
+
+  /// Fill a default-constructed `res` with translate()'s result for a TLB
+  /// hit on `e` (before any D-bit re-walk). Written in place: building a
+  /// temporary and copying it costs store-forwarding stalls on this path.
+  static void fill_tlb_hit(TranslateResult& res, const TlbEntry& e, VirtAddr va,
+                           AccessType type, const TranslationContext& ctx) {
+    res.fault = leaf_check(e.pte, type, ctx);
+    if (res.fault != isa::TrapCause::kNone) return;
+    const u64 off_mask = mask_lo(12 + 9 * e.level);
+    res.ok = true;
+    res.tlb_hit = true;
+    res.pa = (pte::pa(e.pte) & ~off_mask) | (va & off_mask);
+    res.leaf_pte = e.pte;
+    res.level = e.level;
+  }
 
   PhysMem& mem_;
   PmpUnit& pmp_;

@@ -1,5 +1,6 @@
 #include "pmp/pmp.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/bits.h"
@@ -53,70 +54,123 @@ std::optional<std::pair<PhysAddr, PhysAddr>> PmpUnit::entry_range(unsigned idx) 
 }
 
 bool PmpUnit::any_active() const {
+  refresh();
+  return any_active_;
+}
+
+void PmpUnit::redecode() const {
+  active_mask_ = 0;
+  any_active_ = false;
   for (unsigned i = 0; i < kPmpEntryCount; ++i) {
-    if (match_mode(i) != PmpMatch::kOff) return true;
+    any_active_ = any_active_ || match_mode(i) != PmpMatch::kOff;
+    const auto r = entry_range(i);
+    lo_[i] = r ? r->first : 0;
+    hi_[i] = r ? r->second : 0;
+    if (r) active_mask_ |= static_cast<u16>(1u << i);
+  }
+  memo_.fill(MatchMemo{});
+  decoded_gen_ = write_gen_;
+}
+
+bool PmpUnit::is_secure(PhysAddr pa, u64 size) const {
+  refresh();
+  for (unsigned i = 0; i < kPmpEntryCount; ++i) {
+    if (!(cfg_[i] & pmpcfg::kS) || !((active_mask_ >> i) & 1)) continue;
+    if (range_contains(lo_[i], hi_[i] - lo_[i], pa, size)) return true;
   }
   return false;
 }
 
-bool PmpUnit::is_secure(PhysAddr pa, u64 size) const {
-  for (unsigned i = 0; i < kPmpEntryCount; ++i) {
-    if (!(cfg_[i] & pmpcfg::kS)) continue;
-    const auto r = entry_range(i);
-    if (r && range_contains(r->first, r->second - r->first, pa, size)) return true;
+void PmpUnit::remember(int entry, PhysAddr pa, u64 size) const {
+  // Zero-sized and wrapping accesses keep the scan's edge cases to the scan.
+  if (size == 0 || pa + size < pa) return;
+  // Every higher-priority entry lies wholly below or wholly above the
+  // access (the scan found it overlaps none), so clip the run to the gap
+  // between them.
+  PhysAddr lo = entry < 0 ? 0 : lo_[entry];
+  PhysAddr hi = entry < 0 ? ~PhysAddr{0} : hi_[entry];
+  const unsigned higher = entry < 0 ? kPmpEntryCount : static_cast<unsigned>(entry);
+  for (unsigned j = 0; j < higher; ++j) {
+    if (!((active_mask_ >> j) & 1)) continue;
+    if (hi_[j] <= pa) {
+      lo = std::max(lo, hi_[j]);
+    } else {
+      hi = std::min(hi, lo_[j]);
+    }
   }
-  return false;
+  memo_[memo_next_] = MatchMemo{lo, hi, entry};
+  memo_next_ = (memo_next_ + 1) % kMemoSlots;
 }
 
 PmpDecision PmpUnit::check(PhysAddr pa, u64 size, AccessType type, AccessKind kind,
                            Privilege priv) const {
+  refresh();
+  // An access inside a memoised uniform run matches that run's entry: the
+  // scan below would find the same one. The verdict is recomputed, so
+  // accesses of any type, kind and privilege share the memo.
+  if (size != 0) {
+    for (const MatchMemo& m : memo_) {
+      if (pa >= m.lo && pa < m.hi && size <= m.hi - pa) {
+        return decide(m.entry, type, kind, priv);
+      }
+    }
+  }
+
   // Find the highest-priority (lowest-index) entry that matches any byte.
   for (unsigned i = 0; i < kPmpEntryCount; ++i) {
-    const auto r = entry_range(i);
-    if (!r) continue;
-    const u64 rsize = r->second - r->first;
-    if (!ranges_overlap(r->first, rsize, pa, size)) continue;
-    if (!range_contains(r->first, rsize, pa, size)) {
+    if (!((active_mask_ >> i) & 1)) continue;
+    const u64 rsize = hi_[i] - lo_[i];
+    if (!ranges_overlap(lo_[i], rsize, pa, size)) continue;
+    if (!range_contains(lo_[i], rsize, pa, size)) {
       // Straddling the matching entry fails regardless of permissions.
       return {false, PmpDenyReason::kPartialMatch, static_cast<int>(i)};
     }
+    remember(static_cast<int>(i), pa, size);
+    return decide(static_cast<int>(i), type, kind, priv);
+  }
+  remember(-1, pa, size);
+  return decide(-1, type, kind, priv);
+}
 
-    const u8 c = cfg_[i];
-    const bool secure = (c & pmpcfg::kS) != 0;
-    const bool locked = (c & pmpcfg::kL) != 0;
-
-    // PTStore secure-region semantics first: they override the base R/W/X
-    // rules and apply to S/U modes (M-mode is the trusted monitor; its
-    // regular accesses honour the L bit as in the base spec).
-    if (secure_enforcement_ && (priv != Privilege::kMachine || locked)) {
-      if (secure && kind == AccessKind::kRegular) {
-        return {false, PmpDenyReason::kSecureRegular, static_cast<int>(i)};
-      }
-      if (!secure && kind == AccessKind::kPtInsn) {
-        return {false, PmpDenyReason::kPtInsnOutsideSecure, static_cast<int>(i)};
-      }
+PmpDecision PmpUnit::decide(int entry, AccessType type, AccessKind kind,
+                            Privilege priv) const {
+  if (entry < 0) {
+    // No entry matched.
+    if (priv == Privilege::kMachine) return {true, PmpDenyReason::kNone, -1};
+    if (!any_active_) return {true, PmpDenyReason::kNone, -1};
+    // ld.pt/sd.pt may only touch the secure region, which is by definition
+    // covered by an S=1 entry; missing everything is a fault for them too.
+    if (secure_enforcement_ && kind == AccessKind::kPtInsn) {
+      return {false, PmpDenyReason::kPtInsnOutsideSecure, -1};
     }
-
-    // Base PMP permission check. M-mode skips it unless the entry is locked.
-    if (priv == Privilege::kMachine && !locked) {
-      return {true, PmpDenyReason::kNone, static_cast<int>(i)};
-    }
-    const bool ok = (type == AccessType::kRead && (c & pmpcfg::kR)) ||
-                    (type == AccessType::kWrite && (c & pmpcfg::kW)) ||
-                    (type == AccessType::kExecute && (c & pmpcfg::kX));
-    if (!ok) return {false, PmpDenyReason::kPermission, static_cast<int>(i)};
-    return {true, PmpDenyReason::kNone, static_cast<int>(i)};
+    return {false, PmpDenyReason::kNoMatch, -1};
   }
 
-  // No entry matched.
-  if (priv == Privilege::kMachine) return {true, PmpDenyReason::kNone, -1};
-  if (!any_active()) return {true, PmpDenyReason::kNone, -1};
-  // ld.pt/sd.pt may only touch the secure region, which is by definition
-  // covered by an S=1 entry; missing everything is a fault for them too.
-  if (secure_enforcement_ && kind == AccessKind::kPtInsn) {
-    return {false, PmpDenyReason::kPtInsnOutsideSecure, -1};
+  const u8 c = cfg_[static_cast<unsigned>(entry)];
+  const bool secure = (c & pmpcfg::kS) != 0;
+  const bool locked = (c & pmpcfg::kL) != 0;
+
+  // PTStore secure-region semantics first: they override the base R/W/X
+  // rules and apply to S/U modes (M-mode is the trusted monitor; its
+  // regular accesses honour the L bit as in the base spec).
+  if (secure_enforcement_ && (priv != Privilege::kMachine || locked)) {
+    if (secure && kind == AccessKind::kRegular) {
+      return {false, PmpDenyReason::kSecureRegular, entry};
+    }
+    if (!secure && kind == AccessKind::kPtInsn) {
+      return {false, PmpDenyReason::kPtInsnOutsideSecure, entry};
+    }
   }
-  return {false, PmpDenyReason::kNoMatch, -1};
+
+  // Base PMP permission check. M-mode skips it unless the entry is locked.
+  if (priv == Privilege::kMachine && !locked) {
+    return {true, PmpDenyReason::kNone, entry};
+  }
+  const bool ok = (type == AccessType::kRead && (c & pmpcfg::kR)) ||
+                  (type == AccessType::kWrite && (c & pmpcfg::kW)) ||
+                  (type == AccessType::kExecute && (c & pmpcfg::kX));
+  if (!ok) return {false, PmpDenyReason::kPermission, entry};
+  return {true, PmpDenyReason::kNone, entry};
 }
 
 std::string PmpUnit::describe() const {

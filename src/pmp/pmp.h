@@ -72,7 +72,9 @@ class PmpUnit {
   u64 addr(unsigned idx) const { return addr_.at(idx); }
 
   /// Full check of an access [pa, pa+size) issued at privilege `priv` by
-  /// agent `kind` with intent `type`.
+  /// agent `kind` with intent `type`. Memoised (see the private section):
+  /// the decision is always the one the priority scan over every entry
+  /// gives.
   PmpDecision check(PhysAddr pa, u64 size, AccessType type, AccessKind kind,
                     Privilege priv) const;
 
@@ -100,8 +102,9 @@ class PmpUnit {
   bool any_active() const;
 
   /// Bumped on every pmpcfg/pmpaddr write attempt (even ones a locked entry
-  /// ignores). check() is pure, so a cached decision stays valid while this
-  /// counter is unchanged — the decode cache relies on that.
+  /// ignores). check() is a pure function of the registers, so a cached
+  /// decision stays valid while this counter is unchanged — the decode cache
+  /// and this unit's own match memo rely on that.
   u64 write_gen() const { return write_gen_; }
 
   std::string describe() const;
@@ -111,10 +114,46 @@ class PmpUnit {
     return static_cast<PmpMatch>((cfg_[idx] & pmpcfg::kAMask) >> pmpcfg::kAShift);
   }
 
+  /// A run of addresses in which every access matches the same entry
+  /// (`entry`, or -1 for no entry): `entry` covers all of [lo, hi) and no
+  /// higher-priority entry touches it. Empty when lo == hi.
+  struct MatchMemo {
+    PhysAddr lo = 0;
+    PhysAddr hi = 0;
+    int entry = -1;
+  };
+  static constexpr unsigned kMemoSlots = 4;
+
+  /// Re-decode every entry's [lo, hi) when write_gen() moved; drops the memo.
+  void refresh() const {
+    if (decoded_gen_ != write_gen_) redecode();
+  }
+  void redecode() const;
+  /// Memoise the uniform run around [pa, pa+size), which the priority scan
+  /// found fully inside `entry` (or inside no entry, for -1).
+  void remember(int entry, PhysAddr pa, u64 size) const;
+  /// Verdict for an access whose highest-priority match is `entry`.
+  PmpDecision decide(int entry, AccessType type, AccessKind kind,
+                     Privilege priv) const;
+
   std::array<u8, kPmpEntryCount> cfg_{};
   std::array<u64, kPmpEntryCount> addr_{};
   u64 write_gen_ = 0;
   bool secure_enforcement_ = true;
+
+  // Host-side memo behind the const queries: the decoded entry ranges and
+  // the last few uniform runs, valid while decoded_gen_ == write_gen_. It is
+  // mutable state inside const check()/is_secure(): every Core owns its
+  // PmpUnit and queries it from one thread (the fleet pool gives each shard
+  // its own machine), so it takes no lock. A PmpUnit must not be queried
+  // from two threads at once, even through a const reference.
+  mutable u64 decoded_gen_ = ~u64{0};
+  mutable u16 active_mask_ = 0;  ///< Entries with a non-empty range.
+  mutable bool any_active_ = false;
+  mutable std::array<PhysAddr, kPmpEntryCount> lo_{};
+  mutable std::array<PhysAddr, kPmpEntryCount> hi_{};
+  mutable std::array<MatchMemo, kMemoSlots> memo_{};
+  mutable unsigned memo_next_ = 0;
 };
 
 }  // namespace ptstore

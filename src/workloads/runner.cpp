@@ -20,6 +20,7 @@ void register_campaign_workloads(WorkloadRegistry& reg);
 namespace {
 
 u64 g_instructions = 0;
+u64 g_interpreted = 0;
 
 FleetOptions g_fleet;
 
@@ -72,6 +73,8 @@ bool decode_cache_enabled() { return !env_is("PTSTORE_BBCACHE", '0'); }
 
 u64 instructions_simulated() { return g_instructions; }
 
+u64 instructions_interpreted() { return g_interpreted; }
+
 const FleetOptions& fleet_options() { return g_fleet; }
 
 void set_fleet_options(const FleetOptions& opts) { g_fleet = opts; }
@@ -100,6 +103,7 @@ Cycles run_on(SystemConfig cfg, const WorkloadFn& fn, const char* config_label) 
   if (g_collector.enabled) s.kernel().enable_latency_collection(true);
   const Cycles before = s.cycles();
   const u64 instret_before = s.core().instret();
+  const u64 interp_before = s.core().interp_instret();
   // Boot-time events stay outside the session: attribution covers exactly
   // the measured interval, so the profile total matches the cycle delta.
   telemetry::EventRing* tr = telemetry::tracing();
@@ -113,6 +117,7 @@ Cycles run_on(SystemConfig cfg, const WorkloadFn& fn, const char* config_label) 
   if (pf != nullptr) pf->session_end(s.cycles());
   if (tr != nullptr) tr->session_end(s.cycles());
   g_instructions += s.core().instret() - instret_before;
+  g_interpreted += s.core().interp_instret() - interp_before;
   if (g_collector.enabled) capture_run(config_label, s);
   return s.cycles() - before;
 }
@@ -313,12 +318,15 @@ int run_workload_main_with(std::unique_ptr<Workload> w, int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const double minst = static_cast<double>(instructions_simulated()) / 1e6;
-  std::printf("\n[%s] wall %.2f s, %.1f Minst simulated (%.1f Minst/s), "
-              "decode cache %s%s\n",
-              w->name().c_str(), secs, minst,
-              secs > 0 ? minst / secs : 0.0,
-              decode_cache_enabled() ? "on" : "off",
+  // Abstract instructions are bookkeeping, not host work: the rate counts
+  // only what the interpreter executed.
+  const double interp = static_cast<double>(instructions_interpreted()) / 1e6;
+  const double abstract =
+      static_cast<double>(instructions_simulated()) / 1e6 - interp;
+  std::printf("\n[%s] wall %.2f s, %.2f Minst interpreted (%.2f Minst/s) + "
+              "%.1f Minst abstract, decode cache %s%s\n",
+              w->name().c_str(), secs, interp, secs > 0 ? interp / secs : 0.0,
+              abstract, decode_cache_enabled() ? "on" : "off",
               smoke_mode() ? ", smoke scale" : "");
 
   if (!json_path.empty()) {

@@ -106,8 +106,12 @@ bool smoke_mode();
 bool decode_cache_enabled();
 
 /// Simulated instructions retired inside run_on()/measure() so far in this
-/// process — the numerator of the driver's Minst/s footer.
+/// process: interpreted ones plus Core::retire_abstract() charges.
 u64 instructions_simulated();
+
+/// The part of instructions_simulated() the interpreter executed
+/// (Core::interp_instret) — the numerator of the driver's Minst/s footer.
+u64 instructions_interpreted();
 
 // ---- Fleet / campaign knobs (the --jobs / --shards / --campaign-seed flags) ----
 

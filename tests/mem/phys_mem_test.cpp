@@ -117,6 +117,27 @@ TEST_F(PhysMemTest, MmioOverlapRejected) {
   EXPECT_FALSE(mem_.map_device(0x3000'0000, 0, &dev));       // Empty window.
 }
 
+// The last-frame memo must not outlive the frame table: after a restore,
+// reads, writes and frame_write_gen() see the restored frames only.
+TEST_F(PhysMemTest, RestoreFramesDropsLastFrameMemo) {
+  const PhysAddr a = kDramBase + 3 * kPageSize + 16;
+  const PhysAddr b = kDramBase + 9 * kPageSize;
+  mem_.write_u64(a, 0x1111);
+  const auto snap = mem_.snapshot_frames();
+  mem_.write_u64(a, 0x2222);  // Memo now on a's frame.
+  mem_.write_u64(b, 0x3333);  // A frame the snapshot does not have.
+  EXPECT_EQ(mem_.read_u64(b), 0x3333u);
+  const u64 table_gen = mem_.frame_table_gen();
+  mem_.restore_frames(snap);
+  EXPECT_NE(mem_.frame_table_gen(), table_gen);
+  EXPECT_EQ(mem_.read_u64(b), 0u);  // Memo was on b's dropped frame.
+  EXPECT_EQ(mem_.frame_write_gen(b), nullptr);
+  EXPECT_EQ(mem_.read_u64(a), 0x1111u);
+  mem_.write_u64(a + 8, 0x4444);
+  EXPECT_EQ(mem_.read_u64(a + 8), 0x4444u);
+  EXPECT_EQ(mem_.resident_frames(), 1u);
+}
+
 TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   Rng rng(123);
   std::vector<std::pair<PhysAddr, u64>> writes;
