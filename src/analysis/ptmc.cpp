@@ -1,9 +1,8 @@
 #include "analysis/ptmc.h"
 
-#include <deque>
+#include <algorithm>
+#include <chrono>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "telemetry/json.h"
 
@@ -55,6 +54,47 @@ u64 State::pack() const {
         (static_cast<u64>(satp1.bound) << 4))
        << shift;
   return k;
+}
+
+namespace {
+
+/// `width` bits of `k` starting at `shift`.
+u8 field(u64 k, unsigned shift, unsigned width) {
+  return static_cast<u8>((k >> shift) & ((1u << width) - 1));
+}
+
+SatpState unpack_satp(u64 k, unsigned shift) {
+  return {field(k, shift, 3), field(k, shift + 3, 1) != 0,
+          field(k, shift + 4, 1) != 0};
+}
+
+}  // namespace
+
+State State::unpack(u64 k) {
+  State s;
+  s.boundary = static_cast<u8>(field(k, 0, 1) + 1);
+  unsigned shift = 1;
+  for (unsigned i = 0; i < kNumPages; ++i) {
+    s.pages[i] = {static_cast<PageStatus>(field(k, shift, 1)),
+                  static_cast<PageContent>(field(k, shift + 1, 2))};
+    shift += 3;
+  }
+  for (unsigned p = 0; p < kNumProcs; ++p) {
+    s.procs[p] = {field(k, shift, 1) != 0, field(k, shift + 1, 3),
+                  static_cast<TokenRef>(field(k, shift + 4, 2)),
+                  field(k, shift + 6, 3), field(k, shift + 9, 3)};
+    shift += 12;
+  }
+  for (unsigned t = 0; t < kNumProcs; ++t) {
+    s.tokens[t] = {field(k, shift, 1) != 0, field(k, shift + 1, 3)};
+    shift += 4;
+  }
+  s.satp = unpack_satp(k, shift);
+  shift += 5;
+  s.forced_alloc = field(k, shift, 3);
+  shift += 3;
+  s.satp1 = unpack_satp(k, shift);
+  return s;
 }
 
 State State::initial() { return State{}; }
@@ -256,7 +296,8 @@ u8 alias_violation(const State& s) {
 /// is valid (the corrupt free-list entry was consumed) but no page was
 /// placed.
 std::optional<Successor> alloc_pt_page(const State& s, const ModelConfig& cfg,
-                                       u8& pg, bool& detected) {
+                                       u8& pg, bool& detected,
+                                       std::string* note) {
   detected = false;
   const bool forced = s.forced_alloc != kNoPage;
   pg = forced ? s.forced_alloc : lowest_free_secure(s);
@@ -273,22 +314,24 @@ std::optional<Successor> alloc_pt_page(const State& s, const ModelConfig& cfg,
       // §V-E3: a PT page must arrive all-zero; a dirty page means the
       // free list double-issued (or the attacker primed it) — reject.
       detected = true;
-      suc.note = "zero-check rejected non-zero " + page_name(pg);
+      if (note) *note = "zero-check rejected non-zero " + page_name(pg);
       return suc;
     }
     suc.violations |= kP4;
-    suc.note = "P4: " + page_name(pg) + " placed as PT with non-zero content";
+    if (note)
+      *note = "P4: " + page_name(pg) + " placed as PT with non-zero content";
   }
   suc.next.pages[pg] = {PageStatus::kPt, PageContent::kPtData};
   return suc;
 }
 
 std::optional<Successor> apply_spawn(const State& s, u8 p,
-                                     const ModelConfig& cfg) {
+                                     const ModelConfig& cfg,
+                                     std::string* note) {
   if (s.procs[p].live) return std::nullopt;
   u8 pg = kNoPage;
   bool detected = false;
-  auto suc = alloc_pt_page(s, cfg, pg, detected);
+  auto suc = alloc_pt_page(s, cfg, pg, detected, note);
   if (!suc) return std::nullopt;
   if (detected) return suc;  // Allocation refused; no process created.
   suc->next.procs[p] = {true, pg,
@@ -296,28 +339,32 @@ std::optional<Successor> apply_spawn(const State& s, u8 p,
                         kNoPage};
   suc->next.tokens[p] = {true, pg};
   suc->violations |= alias_violation(suc->next);
-  if (suc->note.empty())
-    suc->note = "p" + std::to_string(p) + " root = " + page_name(pg);
-  if (suc->violations & kP3) suc->note += "; P3: token tables alias";
+  if (note) {
+    if (note->empty())
+      *note = "p" + std::to_string(p) + " root = " + page_name(pg);
+    if (suc->violations & kP3) *note += "; P3: token tables alias";
+  }
   return suc;
 }
 
 std::optional<Successor> apply_alloc_pt(const State& s, u8 p,
-                                        const ModelConfig& cfg) {
+                                        const ModelConfig& cfg,
+                                        std::string* note) {
   if (!s.procs[p].live || s.procs[p].extra_pt != kNoPage) return std::nullopt;
   u8 pg = kNoPage;
   bool detected = false;
-  auto suc = alloc_pt_page(s, cfg, pg, detected);
+  auto suc = alloc_pt_page(s, cfg, pg, detected, note);
   if (!suc) return std::nullopt;
   if (detected) return suc;
   suc->next.procs[p].extra_pt = pg;
-  if (suc->note.empty())
-    suc->note = "p" + std::to_string(p) + " grew " + page_name(pg);
+  if (note && note->empty())
+    *note = "p" + std::to_string(p) + " grew " + page_name(pg);
   return suc;
 }
 
 std::optional<Successor> apply_switch(const State& s, u8 p,
-                                      const ModelConfig& cfg, u8 hart) {
+                                      const ModelConfig& cfg, u8 hart,
+                                      std::string* note) {
   if (!s.procs[p].live) return std::nullopt;
   const u8 pgd = s.procs[p].pgd;
   if (pgd == kNoPage) return std::nullopt;
@@ -350,17 +397,18 @@ std::optional<Successor> apply_switch(const State& s, u8 p,
   const bool bound =
       s.procs[p].ghost_root != kNoPage && pgd == s.procs[p].ghost_root;
   suc.next.satp_of(hart) = {pgd, cfg.ptw_check, bound};
-  suc.note = "satp <- " + page_name(pgd);
-  if (hart != 0) suc.note += " on hart " + std::to_string(hart);
-  if (!bound) {
-    suc.violations |= kP2;
-    suc.note += "; P2: root was never issued to p" + std::to_string(p);
+  if (!bound) suc.violations |= kP2;
+  if (note) {
+    *note = "satp <- " + page_name(pgd);
+    if (hart != 0) *note += " on hart " + std::to_string(hart);
+    if (!bound) *note += "; P2: root was never issued to p" + std::to_string(p);
   }
   return suc;
 }
 
 std::optional<Successor> apply_user_access(const State& s,
-                                           const ModelConfig& cfg, u8 hart) {
+                                           const ModelConfig& cfg, u8 hart,
+                                           std::string* note) {
   const SatpState& sp = s.satp_of(hart);
   const u8 root = sp.root;
   if (root == kNoPage) return std::nullopt;  // Kernel address space.
@@ -374,8 +422,9 @@ std::optional<Successor> apply_user_access(const State& s,
   if (cfg.nharts >= 2 && !sp.bound &&
       s.pages[root].status == PageStatus::kPt) {
     suc.violations = kP2;
-    suc.note = "P2: hart " + std::to_string(hart) + " walked stale root " +
-               page_name(root) + ", recycled to another process";
+    if (note)
+      *note = "P2: hart " + std::to_string(hart) + " walked stale root " +
+              page_name(root) + ", recycled to another process";
     return suc;
   }
   if (!is_secure(s, root)) {
@@ -388,7 +437,8 @@ std::optional<Successor> apply_user_access(const State& s,
     if (s.pages[root].content != PageContent::kAttacker) return std::nullopt;
     if (cfg.verify_on_walk) return std::nullopt;
     suc.violations = kP1;
-    suc.note = "P1: walker consumed attacker PTE from " + page_name(root);
+    if (note)
+      *note = "P1: walker consumed attacker PTE from " + page_name(root);
     return suc;
   }
   // Root inside the region: the level-0 fetch is in-region, but if the
@@ -397,7 +447,7 @@ std::optional<Successor> apply_user_access(const State& s,
   if (s.pages[root].content == PageContent::kAttacker && !sp.s &&
       !cfg.verify_on_walk && s.pages[0].content == PageContent::kAttacker) {
     suc.violations = kP1;
-    suc.note = "P1: in-region root chained to attacker tables in page0";
+    if (note) *note = "P1: in-region root chained to attacker tables in page0";
     return suc;
   }
   return std::nullopt;
@@ -406,10 +456,11 @@ std::optional<Successor> apply_user_access(const State& s,
 }  // namespace
 
 std::optional<Successor> apply(const State& s, const Op& op,
-                               const ModelConfig& cfg) {
+                               const ModelConfig& cfg, std::string* note) {
+  if (note) note->clear();
   switch (op.kind) {
     case OpKind::kSpawn:
-      return apply_spawn(s, op.a, cfg);
+      return apply_spawn(s, op.a, cfg, note);
     case OpKind::kExitMm: {
       if (!s.procs[op.a].live) return std::nullopt;
       Successor suc;
@@ -425,7 +476,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
         suc.next.pages[extra] = {PageStatus::kFree, PageContent::kZero};
       suc.next.procs[op.a] = ProcState{};
       suc.next.tokens[op.a] = TokenState{};
-      suc.note = "p" + std::to_string(op.a) + " reaped";
+      if (note) *note = "p" + std::to_string(op.a) + " reaped";
       // SMP: the teardown's cross-hart shootdown (retire_mm). A remote hart
       // parked on one of the dying roots is repointed at the kernel address
       // space (leave_mm) once its IPI lands; with the sabotage knob the IPI
@@ -436,19 +487,19 @@ std::optional<Successor> apply(const State& s, const Op& op,
         if (h1.root != kNoPage && (h1.root == ghost || h1.root == extra)) {
           if (cfg.ipi) {
             h1 = {kNoPage, h1.s, true};
-            suc.note += "; hart 1 shot down";
+            if (note) *note += "; hart 1 shot down";
           } else {
             h1.bound = false;
-            suc.note += "; hart 1 satp stale (no IPI)";
+            if (note) *note += "; hart 1 satp stale (no IPI)";
           }
         }
       }
       return suc;
     }
     case OpKind::kSwitchMm:
-      return apply_switch(s, op.a, cfg, op.hart);
+      return apply_switch(s, op.a, cfg, op.hart, note);
     case OpKind::kAllocPt:
-      return apply_alloc_pt(s, op.a, cfg);
+      return apply_alloc_pt(s, op.a, cfg, note);
     case OpKind::kFreePt: {
       if (!s.procs[op.a].live || s.procs[op.a].extra_pt == kNoPage)
         return std::nullopt;
@@ -457,7 +508,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next.pages[s.procs[op.a].extra_pt] = {PageStatus::kFree,
                                                 PageContent::kZero};
       suc.next.procs[op.a].extra_pt = kNoPage;
-      suc.note = "freed and zeroed";
+      if (note) *note = "freed and zeroed";
       return suc;
     }
     case OpKind::kGrow: {
@@ -467,11 +518,12 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next.boundary = static_cast<u8>(s.boundary - 1);
       // The donated page keeps its content — the dirty-donation channel the
       // zero check exists to close.
-      suc.note = "secure region grew over " + page_name(suc.next.boundary);
+      if (note)
+        *note = "secure region grew over " + page_name(suc.next.boundary);
       return suc;
     }
     case OpKind::kUserAccess:
-      return apply_user_access(s, cfg, op.hart);
+      return apply_user_access(s, cfg, op.hart, note);
     case OpKind::kAtkWritePage: {
       if (cfg.s_bit && is_secure(s, op.a)) return std::nullopt;  // PMP fault.
       Successor suc;
@@ -485,7 +537,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next.pages[op.a].content =
           cfg.verify_on_walk && cfg.cred_unforgeable ? PageContent::kPtData
                                                      : PageContent::kAttacker;
-      suc.note = page_name(op.a) + " now attacker-controlled";
+      if (note) *note = page_name(op.a) + " now attacker-controlled";
       return suc;
     }
     case OpKind::kAtkRedirectPgd: {
@@ -494,7 +546,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       Successor suc;
       suc.next = s;
       suc.next.procs[op.a].pgd = op.b;  // PCB lives in normal memory.
-      suc.note = "pcb pointer hijacked";
+      if (note) *note = "pcb pointer hijacked";
       return suc;
     }
     case OpKind::kAtkRedirectToken: {
@@ -504,7 +556,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       Successor suc;
       suc.next = s;
       suc.next.procs[op.a].token = ref;
-      suc.note = "pcb token pointer redirected";
+      if (note) *note = "pcb token pointer redirected";
       return suc;
     }
     case OpKind::kAtkForgeToken: {
@@ -518,9 +570,11 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next = s;
       suc.next.tokens[op.a] = {true, op.b};
       suc.violations |= alias_violation(suc.next);
-      suc.note = "token slot " + std::to_string(op.a) + " forged -> " +
-                 page_name(op.b);
-      if (suc.violations & kP3) suc.note += "; P3: token tables alias";
+      if (note) {
+        *note = "token slot " + std::to_string(op.a) + " forged -> " +
+                page_name(op.b);
+        if (suc.violations & kP3) *note += "; P3: token tables alias";
+      }
       return suc;
     }
     case OpKind::kAtkCorruptAllocator: {
@@ -528,7 +582,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       Successor suc;
       suc.next = s;
       suc.next.forced_alloc = op.a;  // Free lists live in normal memory.
-      suc.note = "buddy free list corrupted";
+      if (note) *note = "buddy free list corrupted";
       return suc;
     }
     case OpKind::kAtkSatpWrite: {
@@ -537,7 +591,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next = s;
       suc.next.satp = {op.a, false, false};
       suc.violations = kP2;
-      suc.note = "P2: gadget wrote satp directly";
+      if (note) *note = "P2: gadget wrote satp directly";
       return suc;
     }
   }
@@ -549,108 +603,194 @@ std::optional<Successor> apply(const State& s, const Op& op,
 
 namespace {
 
-struct Edge {
-  u64 parent;
-  Op op;
+/// Every visited state, in insertion order — which is BFS order, so the
+/// search's queue is just a head index into it. Per state: the packed key,
+/// the id of the state it was first reached from, and the alphabet index of
+/// that op (a u8: the SMP alphabet has 51 ops). Dedup is an open-addressed,
+/// linear-probing table of ids, doubled once it is half full.
+class StateLog {
+ public:
+  static constexpr u32 kEmpty = 0xFFFF'FFFFu;
+  static_assert(kMaxStates == kEmpty, "every id must differ from kEmpty");
+
+  StateLog() : slots_(1024, kEmpty) {}
+
+  u64 size() const { return keys_.size(); }
+  u64 key(u32 id) const { return keys_[id]; }
+  u32 parent(u32 id) const { return parent_[id]; }
+  u8 op(u32 id) const { return op_[id]; }
+
+  /// murmur3's 64-bit finaliser. Packed keys of neighbouring states differ
+  /// in a few bits, so the hash must avalanche before it is masked to a slot.
+  static u64 hash(u64 k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdull;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ull;
+    k ^= k >> 33;
+    return k;
+  }
+
+  /// Cache hints for a later probe(key, hash): the home slot, then the key
+  /// of the state it holds. Issued for a batch of keys, the misses overlap.
+  void prefetch_slot(u64 hash) const {
+    __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
+  }
+  void prefetch_key(u64 hash) const {
+    const u32 id = slots_[hash & (slots_.size() - 1)];
+    if (id != kEmpty) __builtin_prefetch(&keys_[id]);
+  }
+
+  /// The slot holding `key`'s id, or the empty slot where it would go.
+  u32& probe(u64 key, u64 hash) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const u32 id = slots_[i];
+      if (id == kEmpty || keys_[id] == key) return slots_[i];
+    }
+  }
+
+  /// Appends `key` as a new state, its id written into `slot` (an empty
+  /// slot probe(key) returned, with no add() in between).
+  void add(u32& slot, u64 key, u32 parent, u8 op) {
+    slot = static_cast<u32>(keys_.size());
+    keys_.push_back(key);
+    parent_.push_back(parent);
+    op_.push_back(op);
+    if (keys_.size() * 2 > slots_.size()) rehash(slots_.size() * 2);
+  }
+
+ private:
+  void rehash(size_t capacity) {
+    slots_.assign(capacity, kEmpty);
+    for (u32 id = 0; id < keys_.size(); ++id)
+      probe(keys_[id], hash(keys_[id])) = id;
+  }
+
+  std::vector<u64> keys_;
+  std::vector<u32> parent_;
+  std::vector<u8> op_;
+  std::vector<u32> slots_;
 };
 
-Counterexample rebuild_counterexample(
-    unsigned prop_idx, const ModelConfig& cfg, u64 src_key, const Op& final_op,
-    const std::unordered_map<u64, Edge>& parents) {
-  // Walk the parent chain back to the initial state, then replay forward —
-  // apply() is deterministic, so the replay regenerates every note.
-  std::vector<Op> ops;
-  u64 key = src_key;
-  const u64 init_key = State::initial().pack();
-  while (key != init_key) {
-    const Edge& e = parents.at(key);
-    ops.push_back(e.op);
-    key = e.parent;
-  }
+Step make_step(const State& cur, const Op& op, const ModelConfig& cfg) {
+  Step step;
+  step.op = op;
+  const auto suc = apply(cur, op, cfg, &step.note);
+  step.after = suc ? suc->next : cur;
+  step.violations = suc ? suc->violations : 0;
+  return step;
+}
+
+Counterexample rebuild_counterexample(unsigned prop_idx,
+                                      const ModelConfig& cfg,
+                                      const std::vector<Op>& alphabet,
+                                      const StateLog& log, u32 src,
+                                      const Op& final_op) {
+  // Walk the parent ids back to the initial state (id 0), then replay
+  // forward — apply() is deterministic, and with a note sink it renders
+  // every step's note.
+  std::vector<u8> path;
+  for (u32 id = src; id != 0; id = log.parent(id)) path.push_back(log.op(id));
   Counterexample ce;
   ce.prop = prop_idx;
   ce.cfg = cfg;
   State cur = State::initial();
-  for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    auto suc = apply(cur, *it, cfg);
-    Step step;
-    step.op = *it;
-    step.after = suc ? suc->next : cur;
-    step.note = suc ? suc->note : "";
-    step.violations = suc ? suc->violations : 0;
-    ce.steps.push_back(std::move(step));
-    if (suc) cur = suc->next;
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    ce.steps.push_back(make_step(cur, alphabet[*it], cfg));
+    cur = ce.steps.back().after;
   }
-  auto fin = apply(cur, final_op, cfg);
-  Step last;
-  last.op = final_op;
-  last.after = fin ? fin->next : cur;
-  last.note = fin ? fin->note : "";
-  last.violations = fin ? fin->violations : 0;
-  ce.steps.push_back(std::move(last));
+  ce.steps.push_back(make_step(cur, final_op, cfg));
   return ce;
 }
 
 }  // namespace
 
 CheckResult check(const ModelConfig& cfg) {
+  const auto t0 = std::chrono::steady_clock::now();
   CheckResult res;
   const std::vector<Op>& alphabet =
       cfg.nharts >= 2 ? all_ops_smp() : all_ops();
-  const State init = State::initial();
-  const u64 init_key = init.pack();
+  const u64 budget = std::min(cfg.max_states, kMaxStates);
+  StateLog log;
+  const u64 init_key = State::initial().pack();
+  log.add(log.probe(init_key, StateLog::hash(init_key)), init_key, 0, 0);
 
-  std::unordered_set<u64> visited{init_key};
-  std::unordered_map<u64, Edge> parents;
-  std::unordered_map<u64, State> frontier_states{{init_key, init}};
-  std::deque<std::pair<u64, u32>> queue{{init_key, 0}};
+  const auto finish = [&] {
+    res.states = log.size();
+    res.wall_s = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    return res;
+  };
 
-  while (!queue.empty()) {
-    const auto [key, depth] = queue.front();
-    queue.pop_front();
-    const State s = frontier_states.at(key);
-    frontier_states.erase(key);
-    if (depth > res.depth) res.depth = depth;
-    if (depth >= cfg.max_depth) {
-      res.depth_capped = true;
-      continue;
+  // One expanded state's successors, in alphabet order.
+  struct Pending {
+    u64 key;
+    u64 hash;
+    u8 op;
+    u8 violations;
+  };
+  std::vector<Pending> batch;
+  batch.reserve(alphabet.size());
+
+  u32 depth = 0;
+  u64 level_end = 1;  // One past the last id of level `depth`.
+  for (u64 head = 0; head < log.size(); ++head) {
+    if (head == level_end) {
+      ++depth;
+      level_end = log.size();
     }
-    for (const Op& op : alphabet) {
-      auto suc = apply(s, op, cfg);
+    res.depth = depth;
+    if (depth >= cfg.max_depth) {
+      // Every state left in the log sits at this depth: none is expanded.
+      res.depth_capped = true;
+      break;
+    }
+    const u32 id = static_cast<u32>(head);
+    const State s = State::unpack(log.key(id));
+    // Apply the whole alphabet first, prefetching each successor's slot
+    // and then its key, so the table's cache misses overlap; the loop below
+    // still probes and inserts one successor at a time in alphabet order.
+    batch.clear();
+    for (size_t o = 0; o < alphabet.size(); ++o) {
+      const auto suc = apply(s, alphabet[o], cfg);
       if (!suc) continue;
+      const u64 key = suc->next.pack();
+      const u64 hash = StateLog::hash(key);
+      log.prefetch_slot(hash);
+      batch.push_back({key, hash, static_cast<u8>(o), suc->violations});
+    }
+    for (const Pending& p : batch) log.prefetch_key(p.hash);
+    for (const Pending& p : batch) {
       ++res.transitions;
-      if (suc->violations != 0) {
+      if (p.violations != 0) {
         for (unsigned i = 0; i < kNumProps; ++i) {
           const u8 bit = static_cast<u8>(1u << i);
-          if ((suc->violations & bit) != 0 && (res.props_violated & bit) == 0) {
+          if ((p.violations & bit) != 0 && (res.props_violated & bit) == 0) {
             res.props_violated |= bit;
-            res.counterexamples.push_back(
-                rebuild_counterexample(i, cfg, key, op, parents));
+            res.counterexamples.push_back(rebuild_counterexample(
+                i, cfg, alphabet, log, id, alphabet[p.op]));
           }
         }
         if (cfg.stop_after_violated != 0 &&
             (res.props_violated & cfg.stop_after_violated) ==
                 cfg.stop_after_violated) {
           res.early_stopped = true;
-          res.states = visited.size();
-          return res;
+          return finish();
         }
       }
-      const u64 nkey = suc->next.pack();
-      if (visited.count(nkey) != 0) continue;
-      if (visited.size() >= cfg.max_states) {
+      u32& slot = log.probe(p.key, p.hash);
+      if (slot != StateLog::kEmpty) continue;
+      if (log.size() >= budget) {
         res.state_capped = true;
         continue;
       }
-      visited.insert(nkey);
-      parents.emplace(nkey, Edge{key, op});
-      frontier_states.emplace(nkey, suc->next);
-      queue.emplace_back(nkey, depth + 1);
+      log.add(slot, p.key, id, p.op);
     }
   }
-  res.states = visited.size();
   res.complete = !res.depth_capped && !res.state_capped;
-  return res;
+  return finish();
 }
 
 const Counterexample* CheckResult::counterexample_for(unsigned prop_idx) const {
@@ -692,6 +832,44 @@ std::string CheckResult::format() const {
     }
   }
   return os.str();
+}
+
+// ---------------------------------------------------------------------------
+// Backends.
+
+std::optional<ModelConfig> backend_model(std::string_view name,
+                                         unsigned nharts) {
+  ModelConfig cfg;
+  cfg.nharts = nharts;
+  bool unrestricted_placement = false;
+  if (name == "ptstore") {
+    // The defaults *are* the PTStore capability set.
+  } else if (name == "stock") {
+    cfg.s_bit = cfg.ptw_check = cfg.token_check = cfg.zero_check = false;
+  } else if (name == "dpti") {
+    // Protected domain plays the secure region's role (regular stores
+    // fault); the root registry is the switch-time check; no satp.S.
+    cfg.ptw_check = false;
+    cfg.cred_unforgeable = true;
+  } else if (name == "ptauth") {
+    // No placement restriction at all — the keyed MAC authenticates every
+    // credential and every fetched PTE instead.
+    cfg.s_bit = false;
+    cfg.ptw_check = false;
+    cfg.verify_on_walk = true;
+    cfg.cred_unforgeable = true;
+    unrestricted_placement = true;
+  } else {
+    return std::nullopt;
+  }
+  // The second hart multiplies the closure (~4x), and PTAuth's
+  // unrestricted PT-page placement multiplies it again (2,279,200 states /
+  // depth 16 single-hart, 6,708,000 / depth 17 at two harts).
+  if (nharts >= 2 || unrestricted_placement) {
+    cfg.max_states = 8'000'000;
+    cfg.max_depth = 20;
+  }
+  return cfg;
 }
 
 // ---------------------------------------------------------------------------
@@ -844,7 +1022,13 @@ std::string to_json(const CheckResult& r) {
     }
     w.end_array().end_object();
   }
-  w.end_array().end_object();
+  w.end_array();
+  w.key("host")
+      .begin_object()
+      .kv("wall_s", r.wall_s)
+      .kv("states_per_s", r.states_per_s())
+      .end_object();
+  w.end_object();
   return os.str();
 }
 

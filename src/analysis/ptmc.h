@@ -40,10 +40,19 @@
 // breach the shootdown exists to prevent. nharts == 1 reproduces the
 // historical model bit-for-bit.
 //
-// The checker is a BFS over packed 58-bit states with hash dedup, so every
-// counterexample is shortest-first. Each ModelConfig defence flag mirrors
-// one concrete kernel/PMP knob, which is what lets ptmc's counterexamples
-// be replayed op-for-op against the real System (src/attacks/ptmc_replay.h).
+// The checker is a BFS over packed 58-bit states, so every counterexample
+// is shortest-first. Its whole search structure is one flat state log: the
+// packed keys in insertion order (which *is* BFS order, so a head index is
+// the queue and level boundaries give the depth), a u32 parent id and a u8
+// alphabet index per state, and an open-addressed table of u32 ids for
+// dedup. That is 13 bytes per state in the log plus 8-16 in the table (two
+// to four slots per state). The state being expanded is rebuilt with
+// State::unpack; a counterexample is rebuilt by walking parent ids and
+// replaying the ops, which is the only time apply() renders a note.
+//
+// Each ModelConfig defence flag mirrors one concrete kernel/PMP knob, which
+// is what lets ptmc's counterexamples be replayed op-for-op against the
+// real System (src/attacks/ptmc_replay.h).
 //
 // Soundness caveat: this is a *bounded* result. "No violation" means no
 // violation within max_depth/max_states over this abstraction — see
@@ -52,6 +61,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -111,6 +121,8 @@ struct State {
   /// Canonical 58-bit packing — the BFS dedup key (53 historical bits plus
   /// hart 1's satp at [53..57]).
   u64 pack() const;
+  /// Exact inverse of pack(): unpack(s.pack()) equals s field for field.
+  static State unpack(u64 key);
   static State initial();
 
   SatpState& satp_of(unsigned hart) { return hart == 0 ? satp : satp1; }
@@ -190,8 +202,12 @@ struct ModelConfig {
   bool zero_check = true;  ///< §V-E3 all-zero check (KernelConfig::zero_check).
   bool csr_gadget = false; ///< Attacker owns a satp-write gadget (off: §III model).
   bool allow_grow = true;  ///< Secure-region growth enabled.
-  u32 max_depth = 16;        ///< BFS depth bound (full closure needs 14).
-  u64 max_states = 600'000;  ///< Visited-state budget (closure is ~254k).
+  /// BFS depth bound. The single-hart closure needs 14, the 2-hart one 15,
+  /// PTAuth's unrestricted-placement closure 16 (1 hart) or 17 (2 harts).
+  u32 max_depth = 16;
+  /// Visited-state budget; the single-hart closure is 253,570 states. The
+  /// search never exceeds kMaxStates whatever this says.
+  u64 max_states = 600'000;
   u8 stop_after_violated = 0;  ///< Stop early once these props are violated.
 
   // ---- SMP extension. nharts == 1 reproduces the historical single-hart
@@ -210,16 +226,23 @@ struct ModelConfig {
                                   ///< keyed MAC): forge/fake ops are inert.
 };
 
+/// Largest state count the search can address: state ids are u32 and one
+/// value is the hash table's empty marker.
+inline constexpr u64 kMaxStates = 0xFFFF'FFFFull;
+
 /// One transition: op applied to a state either has no successor (the op is
 /// disabled or a defence architecturally blocked it) or yields exactly one.
 struct Successor {
   State next;
   u8 violations = 0;  ///< Props this transition violates (kP1..kP4 mask).
-  std::string note;   ///< What happened, for traces.
 };
 
+/// The transition function. With a `note` sink it also renders what
+/// happened, for traces (cleared first; left empty when the op has no
+/// successor); the search passes none and builds no text.
 std::optional<Successor> apply(const State& s, const Op& op,
-                               const ModelConfig& cfg);
+                               const ModelConfig& cfg,
+                               std::string* note = nullptr);
 
 // ---------------------------------------------------------------------------
 // Checking.
@@ -247,10 +270,17 @@ struct CheckResult {
   u64 states = 0;        ///< Distinct states visited.
   u64 transitions = 0;   ///< Successor-producing op applications.
   u32 depth = 0;         ///< Deepest level reached.
+  /// Host wall time of the search, in seconds. Varies run to run: it is not
+  /// part of format(), and to_json() keeps it under its own "host" key.
+  double wall_s = 0;
   /// First (= shortest) counterexample per violated property.
   std::vector<Counterexample> counterexamples;
 
   bool ok() const { return props_violated == 0; }
+  /// Host search speed: states / wall_s (0 before any time has passed).
+  double states_per_s() const {
+    return wall_s > 0 ? static_cast<double>(states) / wall_s : 0.0;
+  }
   const Counterexample* counterexample_for(unsigned prop_idx) const;
   std::string format() const;
 };
@@ -275,12 +305,23 @@ struct MutationEntry {
 /// The matrix derived from `base` (bounds and gadget flag are inherited).
 std::vector<MutationEntry> mutation_matrix(const ModelConfig& base);
 
+/// The model `ptmc --backend <name>` checks at `nharts` harts: "ptstore"
+/// (the defaults), "stock" (every PTStore defence off), "dpti" or "ptauth".
+/// Two harts or PTAuth's unrestricted placement widen the default bounds to
+/// 8,000,000 states / depth 20, so those closures complete. nullopt for any
+/// other name.
+std::optional<ModelConfig> backend_model(std::string_view name,
+                                         unsigned nharts);
+
 // ---------------------------------------------------------------------------
 // Export.
 
 /// Counterexample as a GraphViz digraph (one node per state along the trace).
 std::string to_dot(const Counterexample& ce);
-/// CheckResult (including counterexample traces) as a JSON document.
+/// CheckResult (including counterexample traces) as a JSON document. Its
+/// top-level "host" object {wall_s, states_per_s} is the one key that varies
+/// run to run: byte comparisons of ptmc JSON must ignore it (as campaign
+/// reports' timing block is ignored).
 std::string to_json(const CheckResult& r);
 
 }  // namespace ptstore::analysis::ptmc

@@ -4,10 +4,23 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ptmc.h"
+#include "common/rng.h"
 #include "telemetry/json.h"
 
 namespace ptstore::analysis::ptmc {
 namespace {
+
+/// Exact closure size: any change to the transition semantics, the
+/// alphabet or the dedup key moves at least one of these.
+void expect_closure(const CheckResult& res, u64 states, u64 transitions,
+                    u32 depth) {
+  EXPECT_TRUE(res.ok()) << res.format();
+  EXPECT_TRUE(res.complete) << res.format();
+  EXPECT_EQ(res.states, states);
+  EXPECT_EQ(res.transitions, transitions);
+  EXPECT_EQ(res.depth, depth);
+  EXPECT_TRUE(res.counterexamples.empty());
+}
 
 TEST(Ptmc, DefencesOnHoldExhaustively) {
   const CheckResult res = check(ModelConfig{});
@@ -18,9 +31,130 @@ TEST(Ptmc, DefencesOnHoldExhaustively) {
   EXPECT_TRUE(res.complete) << res.format();
   EXPECT_FALSE(res.depth_capped);
   EXPECT_FALSE(res.state_capped);
-  EXPECT_GT(res.states, 100'000u);  // the closure is ~254k states
-  EXPECT_GE(res.depth, 10u);
-  EXPECT_TRUE(res.counterexamples.empty());
+  expect_closure(res, 253'570, 4'939'762, 14);
+}
+
+TEST(Ptmc, DptiSmpClosurePinned) {
+  expect_closure(check(*backend_model("dpti", 2)), 737'410, 14'595'538, 15);
+}
+
+TEST(Ptmc, PtauthClosurePinned) {
+  expect_closure(check(*backend_model("ptauth", 1)), 2'279'200, 53'272'720, 16);
+}
+
+TEST(Ptmc, BackendModelWidensBoundsOnlyWhereClosuresNeedIt) {
+  EXPECT_FALSE(backend_model("sel4", 1).has_value());
+  const ModelConfig ptstore = *backend_model("ptstore", 1);
+  EXPECT_EQ(ptstore.max_states, ModelConfig{}.max_states);
+  EXPECT_EQ(ptstore.max_depth, ModelConfig{}.max_depth);
+  EXPECT_TRUE(ptstore.s_bit && ptstore.ptw_check && ptstore.token_check &&
+              ptstore.zero_check);
+  const ModelConfig stock = *backend_model("stock", 1);
+  EXPECT_FALSE(stock.s_bit || stock.ptw_check || stock.token_check ||
+               stock.zero_check);
+  for (const char* name : {"ptstore", "stock", "dpti"})
+    EXPECT_EQ(backend_model(name, 2)->max_states, 8'000'000u) << name;
+  EXPECT_EQ(backend_model("ptauth", 1)->max_depth, 20u);
+  EXPECT_EQ(backend_model("dpti", 2)->nharts, 2u);
+}
+
+TEST(Ptmc, StateBudgetCapsTheSearch) {
+  ModelConfig cfg;
+  cfg.max_states = 1'000;
+  const CheckResult res = check(cfg);
+  EXPECT_TRUE(res.state_capped);
+  EXPECT_FALSE(res.complete);
+  EXPECT_EQ(res.states, 1'000u);
+}
+
+void expect_same_state(const State& a, const State& b) {
+  EXPECT_EQ(a.boundary, b.boundary);
+  for (unsigned i = 0; i < kNumPages; ++i) {
+    EXPECT_EQ(a.pages[i].status, b.pages[i].status) << "page " << i;
+    EXPECT_EQ(a.pages[i].content, b.pages[i].content) << "page " << i;
+  }
+  for (unsigned p = 0; p < kNumProcs; ++p) {
+    EXPECT_EQ(a.procs[p].live, b.procs[p].live) << "proc " << p;
+    EXPECT_EQ(a.procs[p].pgd, b.procs[p].pgd) << "proc " << p;
+    EXPECT_EQ(a.procs[p].token, b.procs[p].token) << "proc " << p;
+    EXPECT_EQ(a.procs[p].ghost_root, b.procs[p].ghost_root) << "proc " << p;
+    EXPECT_EQ(a.procs[p].extra_pt, b.procs[p].extra_pt) << "proc " << p;
+    EXPECT_EQ(a.tokens[p].live, b.tokens[p].live) << "token " << p;
+    EXPECT_EQ(a.tokens[p].pt_page, b.tokens[p].pt_page) << "token " << p;
+  }
+  for (unsigned h = 0; h < 2; ++h) {
+    EXPECT_EQ(a.satp_of(h).root, b.satp_of(h).root) << "hart " << h;
+    EXPECT_EQ(a.satp_of(h).s, b.satp_of(h).s) << "hart " << h;
+    EXPECT_EQ(a.satp_of(h).bound, b.satp_of(h).bound) << "hart " << h;
+  }
+  EXPECT_EQ(a.forced_alloc, b.forced_alloc);
+}
+
+void expect_round_trip(const State& s) {
+  const u64 key = s.pack();
+  const State back = State::unpack(key);
+  EXPECT_EQ(back.pack(), key) << describe(s);
+  expect_same_state(back, s);
+}
+
+TEST(Ptmc, UnpackInvertsPackOnRandomValidStates) {
+  Rng rng(0x5eed'97c5ull);
+  const auto page_or_none = [&] {
+    const u8 v = static_cast<u8>(rng.next_below(kNumPages + 1));
+    return v == kNumPages ? kNoPage : v;
+  };
+  const auto satp = [&] {
+    return SatpState{page_or_none(), rng.next_below(2) == 1,
+                     rng.next_below(2) == 1};
+  };
+  bool boundary_seen[2] = {};
+  bool token_seen[4] = {};
+  bool stale_satp1 = false;
+  bool forced = false;
+  for (unsigned n = 0; n < 4096; ++n) {
+    State s;
+    s.boundary = static_cast<u8>(1 + rng.next_below(2));
+    for (PageState& pg : s.pages) {
+      pg.status = static_cast<PageStatus>(rng.next_below(2));
+      pg.content = static_cast<PageContent>(rng.next_below(3));
+    }
+    for (ProcState& pr : s.procs) {
+      pr = {rng.next_below(2) == 1, page_or_none(),
+            static_cast<TokenRef>(rng.next_below(4)), page_or_none(),
+            page_or_none()};
+      token_seen[static_cast<unsigned>(pr.token)] = true;
+    }
+    for (TokenState& t : s.tokens)
+      t = {rng.next_below(2) == 1, static_cast<u8>(rng.next_below(kNumPages))};
+    s.satp = satp();
+    s.satp1 = satp();
+    s.forced_alloc = page_or_none();
+    boundary_seen[s.boundary - 1] = true;
+    stale_satp1 |= s.satp1.root != kNoPage && !s.satp1.bound;
+    forced |= s.forced_alloc != kNoPage;
+    expect_round_trip(s);
+    if (HasFailure()) return;
+  }
+  EXPECT_TRUE(boundary_seen[0] && boundary_seen[1]);
+  for (bool seen : token_seen) EXPECT_TRUE(seen);
+  EXPECT_TRUE(stale_satp1);
+  EXPECT_TRUE(forced);
+  expect_round_trip(State::initial());
+}
+
+TEST(Ptmc, UnpackInvertsPackAlongEveryMatrixCounterexample) {
+  for (unsigned nharts = 1; nharts <= 2; ++nharts) {
+    ModelConfig base;
+    base.nharts = nharts;
+    for (const MutationEntry& m : mutation_matrix(base)) {
+      if (m.must_break == 0) continue;  // A closure with no counterexample.
+      ModelConfig cfg = m.cfg;
+      cfg.stop_after_violated = m.must_break;
+      for (const Counterexample& ce : check(cfg).counterexamples) {
+        for (const Step& st : ce.steps) expect_round_trip(st.after);
+      }
+    }
+  }
 }
 
 TEST(Ptmc, PackDistinguishesStateComponents) {
@@ -135,6 +269,11 @@ TEST(Ptmc, JsonExportParsesWithExpectedSchema) {
   const telemetry::JsonValue* steps = ces->arr[0].find("steps");
   ASSERT_NE(steps, nullptr);
   EXPECT_FALSE(steps->arr.empty());
+  const telemetry::JsonValue* host = doc->find("host");
+  ASSERT_NE(host, nullptr);
+  ASSERT_NE(host->find("wall_s"), nullptr);
+  ASSERT_NE(host->find("states_per_s"), nullptr);
+  EXPECT_GE(host->find("wall_s")->number, 0);
 }
 
 TEST(Ptmc, FormatSummarisesVerdicts) {
@@ -225,10 +364,7 @@ TEST(Ptmc, SmpDefencesOnHoldExhaustively) {
   cfg.nharts = 2;
   cfg.max_states = 2'000'000;
   cfg.max_depth = 18;
-  const CheckResult res = check(cfg);
-  EXPECT_TRUE(res.ok()) << res.format();
-  EXPECT_TRUE(res.complete) << res.format();
-  EXPECT_GT(res.states, 500'000u);  // the 2-hart closure is ~991k states
+  expect_closure(check(cfg), 990'980, 19'565'540, 15);
 }
 
 // Dropping the shootdown IPI is only observable with a second hart: the

@@ -13,10 +13,14 @@
 //                              (stock | ptstore | dpti | ptauth); stock is
 //                              expected to violate, like --mutate
 //   ptmc --dot FILE            write the first counterexample as GraphViz
-//   ptmc --json [FILE]         emit the CheckResult as JSON
+//   ptmc --json [FILE]         emit the CheckResult as JSON, with a "host"
+//                              object {wall_s, states_per_s}
+//
+// Every single check also prints a "host:" line (wall time, states/s) on
+// stderr, so stdout stays byte-stable across runs.
 //
 // Exit codes: 0 = expectations met, 1 = property/expectation failure,
-// 2 = usage error.
+// 2 = usage error (including a malformed or out-of-range number).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -41,8 +45,11 @@ int usage() {
                "                   expected violations\n"
                "  --replay         replay each counterexample on the concrete\n"
                "                   simulator (mutated + stock)\n"
-               "  --depth N        BFS depth bound (default 12)\n"
-               "  --states N       visited-state budget (default 400000)\n"
+               "  --depth N        BFS depth bound (default 16; 20 with\n"
+               "                   --harts 2 or --backend ptauth)\n"
+               "  --states N       visited-state budget (default 600000;\n"
+               "                   8000000 with --harts 2 or --backend\n"
+               "                   ptauth; at most 4294967295)\n"
                "  --gadget         grant the attacker a satp-write gadget\n"
                "  --harts N        model harts (1 or 2; default 1)\n"
                "  --skip-ipi       sabotage: exit_mm skips shootdown IPIs\n"
@@ -53,6 +60,25 @@ int usage() {
                "  --json [FILE]    emit result JSON (stdout without FILE)\n"
                "  -v               verbose (print traces)\n");
   return 2;
+}
+
+/// Strict decimal count: digits only (no sign, space or trailing junk),
+/// at least 1 and at most `max`. Reports a bad value and returns false.
+bool parse_count(const char* flag, const char* text, u64 max, u64& out) {
+  u64 v = 0;
+  bool ok = *text != '\0';
+  for (const char* c = text; ok && *c != '\0'; ++c) {
+    const unsigned d = static_cast<unsigned>(*c - '0');
+    ok = d <= 9 && d <= max && v <= (max - d) / 10;
+    v = v * 10 + d;
+  }
+  if (!ok || v == 0) {
+    std::fprintf(stderr, "ptmc: %s needs a whole number in 1..%llu, got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    return false;
+  }
+  out = v;
+  return true;
 }
 
 bool write_file(const std::string& path, const std::string& text) {
@@ -76,6 +102,14 @@ void print_result(const mc::CheckResult& res, bool verbose) {
       }
     }
   }
+}
+
+/// Host timing goes to stderr: it varies run to run, and stdout is compared
+/// byte for byte against golden transcripts.
+void print_host(const char* mutation, const mc::CheckResult& res) {
+  std::fprintf(stderr, "host:%s%s %.3f s wall, %.0f states/s\n",
+               *mutation != '\0' ? " mutation " : "", mutation, res.wall_s,
+               res.states_per_s());
 }
 
 /// Replay every counterexample: mutated config must reproduce the attack,
@@ -116,13 +150,15 @@ int main(int argc, char** argv) {
   enum class Mode { kAll, kMutate, kMatrix };
   Mode mode = Mode::kAll;
   std::string mutate_name;
-  mc::ModelConfig cfg;
+  std::string backend = "ptstore";
+  unsigned nharts = 1;
+  u64 max_depth = 0;   // 0: the backend's default bound.
+  u64 max_states = 0;  // 0: the backend's default budget.
+  bool gadget = false;
+  bool no_grow = false;
+  bool skip_ipi = false;
   bool verbose = false;
   bool replay = false;
-  bool states_set = false;
-  bool depth_set = false;
-  bool expect_breach = false;  // --backend stock: violations are the verdict.
-  bool unrestricted_placement = false;  // ptauth: larger closure, see below.
   int prop_filter = 0;
   std::string dot_path;
   bool json_out = false;
@@ -150,60 +186,38 @@ int main(int argc, char** argv) {
       replay = true;
     } else if (arg == "--prop") {
       const char* n = next("--prop");
-      if (n == nullptr) return usage();
-      prop_filter = std::atoi(n);
-      if (prop_filter < 1 || prop_filter > 4) return usage();
+      u64 v = 0;
+      if (n == nullptr || !parse_count("--prop", n, mc::kNumProps, v))
+        return usage();
+      prop_filter = static_cast<int>(v);
     } else if (arg == "--depth") {
       const char* n = next("--depth");
-      if (n == nullptr) return usage();
-      cfg.max_depth = static_cast<u32>(std::atoi(n));
-      depth_set = true;
+      if (n == nullptr || !parse_count("--depth", n, 0xFFFF'FFFFu, max_depth))
+        return usage();
     } else if (arg == "--states") {
       const char* n = next("--states");
-      if (n == nullptr) return usage();
-      cfg.max_states = static_cast<u64>(std::atoll(n));
-      states_set = true;
+      if (n == nullptr ||
+          !parse_count("--states", n, mc::kMaxStates, max_states))
+        return usage();
     } else if (arg == "--harts") {
       const char* n = next("--harts");
-      if (n == nullptr) return usage();
-      const int h = std::atoi(n);
-      if (h < 1 || h > 2) {
-        std::fprintf(stderr, "ptmc: --harts must be 1 or 2\n");
-        return usage();
-      }
-      cfg.nharts = static_cast<unsigned>(h);
+      u64 v = 0;
+      if (n == nullptr || !parse_count("--harts", n, 2, v)) return usage();
+      nharts = static_cast<unsigned>(v);
     } else if (arg == "--skip-ipi") {
-      cfg.ipi = false;
+      skip_ipi = true;
     } else if (arg == "--backend") {
       const char* n = next("--backend");
       if (n == nullptr) return usage();
-      const std::string name = n;
-      if (name == "ptstore") {
-        // The defaults *are* the PTStore capability set.
-      } else if (name == "stock") {
-        cfg.s_bit = cfg.ptw_check = cfg.token_check = cfg.zero_check = false;
-        expect_breach = true;
-      } else if (name == "dpti") {
-        // Protected domain plays the secure region's role (regular stores
-        // fault); the root registry is the switch-time check; no satp.S.
-        cfg.ptw_check = false;
-        cfg.cred_unforgeable = true;
-      } else if (name == "ptauth") {
-        // No placement restriction at all — the keyed MAC authenticates
-        // every credential and every fetched PTE instead.
-        cfg.s_bit = false;
-        cfg.ptw_check = false;
-        cfg.verify_on_walk = true;
-        cfg.cred_unforgeable = true;
-        unrestricted_placement = true;
-      } else {
-        std::fprintf(stderr, "ptmc: unknown backend '%s'\n", name.c_str());
+      backend = n;
+      if (!mc::backend_model(backend, 1)) {
+        std::fprintf(stderr, "ptmc: unknown backend '%s'\n", n);
         return usage();
       }
     } else if (arg == "--gadget") {
-      cfg.csr_gadget = true;
+      gadget = true;
     } else if (arg == "--no-grow") {
-      cfg.allow_grow = false;
+      no_grow = true;
     } else if (arg == "--dot") {
       const char* n = next("--dot");
       if (n == nullptr) return usage();
@@ -219,18 +233,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The second hart multiplies the closure (~10x), and PTAuth's
-  // unrestricted PT-page placement multiplies it again (its closure needs
-  // ~2.3M states / depth 17 single-hart, ~6.7M / depth 17 at two harts).
-  // Give the default bounds the same headroom so "--harts 2" and
-  // "--backend ptauth" still close exhaustively without hand-tuning.
-  if (cfg.nharts >= 2 || unrestricted_placement) {
-    if (!states_set) cfg.max_states = 8'000'000;
-    if (!depth_set) cfg.max_depth = 20;
-  }
+  // The backend sets the capability set and the default bounds; the other
+  // flags and any explicit bound apply on top.
+  mc::ModelConfig cfg = *mc::backend_model(backend, nharts);
+  cfg.csr_gadget = gadget;
+  cfg.allow_grow = !no_grow;
+  cfg.ipi = !skip_ipi;
+  if (max_depth != 0) cfg.max_depth = static_cast<u32>(max_depth);
+  if (max_states != 0) cfg.max_states = max_states;
+  const bool expect_breach = backend == "stock";
   // An undefended kernel violates everything; stop as soon as each checked
   // property has its counterexample instead of sweeping the huge closure.
-  if (expect_breach && cfg.stop_after_violated == 0) {
+  if (expect_breach) {
     cfg.stop_after_violated =
         prop_filter == 0 ? mc::kAllProps
                          : static_cast<u8>(1u << (prop_filter - 1));
@@ -242,6 +256,7 @@ int main(int argc, char** argv) {
       mc::ModelConfig mcfg = entry.cfg;
       mcfg.stop_after_violated = entry.must_break;
       const mc::CheckResult res = mc::check(mcfg);
+      print_host(entry.name, res);
       const u8 unexpected =
           res.props_violated & static_cast<u8>(~(entry.must_break | entry.may_also_break));
       const bool entry_ok =
@@ -285,6 +300,7 @@ int main(int argc, char** argv) {
 
   const mc::CheckResult res = mc::check(cfg);
   print_result(res, verbose);
+  print_host("", res);
   if (!dot_path.empty() && !res.counterexamples.empty())
     write_file(dot_path, mc::to_dot(res.counterexamples.front()));
   if (json_out) {
