@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace ptstore {
 
@@ -40,16 +41,44 @@ u8* PhysMem::frame_for(PhysAddr pa) {
 
 u64 PhysMem::read(PhysAddr pa, unsigned size) {
   assert(size == 1 || size == 2 || size == 4 || size == 8);
-  // map_device keeps device windows out of DRAM, so DRAM needs no search.
-  if (!is_dram(pa, size)) {
-    if (const Window* w = find_device(pa, size)) {
-      return w->dev->mmio_read(pa - w->base, size);
+  if (is_dram(pa, size)) {
+    const u64 off = (pa - dram_base_) & kPageMask;
+    if (off + size <= kPageSize) {
+      // One frame: one lookup and a fixed-size load. Reads never
+      // materialize frames, and an unmaterialized frame is zero.
+      const Frame* f = find_frame((pa - dram_base_) >> kPageShift);
+      if (f == nullptr) return 0;
+      const u8* p = f->data.get() + off;
+      switch (size) {
+        case 1:
+          return *p;
+        case 2: {
+          u16 v;
+          std::memcpy(&v, p, 2);
+          return v;
+        }
+        case 4: {
+          u32 v;
+          std::memcpy(&v, p, 4);
+          return v;
+        }
+        default: {
+          u64 v;
+          std::memcpy(&v, p, 8);
+          return v;
+        }
+      }
     }
+    u64 v = 0;
+    read_block(pa, &v, size);
+    return v;
   }
-  assert(is_dram(pa, size) && "physical read outside backed memory");
-  u64 v = 0;
-  read_block(pa, &v, size);
-  return v;
+  // map_device keeps device windows out of DRAM, so only non-DRAM searches.
+  if (const Window* w = find_device(pa, size)) {
+    return w->dev->mmio_read(pa - w->base, size);
+  }
+  assert(false && "physical read outside backed memory");
+  return 0;
 }
 
 void PhysMem::write(PhysAddr pa, unsigned size, u64 value) {
@@ -101,26 +130,52 @@ void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
   while (len > 0) {
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    std::memset(frame_for(pa) + off, byte, chunk);
+    if (byte != 0) {
+      std::memset(frame_for(pa) + off, byte, chunk);
+    } else if (Frame* f = find_frame((pa - dram_base_) >> kPageShift)) {
+      // Zeroing a materialized frame is still a write: the decode cache
+      // watches write_gen. The frame is kept, since only restore_frames()
+      // may invalidate frame_write_gen() pointers.
+      std::memset(f->data.get() + off, 0, chunk);
+      ++f->write_gen;
+    }
+    // An unmaterialized frame already reads zero: nothing to do.
     pa += chunk;
     len -= chunk;
   }
 }
 
+namespace {
+
+/// True if [p, p+len) is all zero: bytewise up to 8-byte alignment, then in
+/// words, then bytewise over the tail.
+bool bytes_zero(const u8* p, u64 len) {
+  while (len > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7) != 0) {
+    if (*p != 0) return false;
+    ++p;
+    --len;
+  }
+  for (; len >= 8; p += 8, len -= 8) {
+    u64 w;
+    std::memcpy(&w, p, 8);
+    if (w != 0) return false;
+  }
+  for (; len > 0; ++p, --len) {
+    if (*p != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool PhysMem::is_zero(PhysAddr pa, u64 len) {
   assert(is_dram(pa, len));
   while (len > 0) {
-    const u64 frame = (pa - dram_base_) >> kPageShift;
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    auto it = frames_.find(frame);
-    if (it != frames_.end()) {
-      const u8* p = it->second.data.get() + off;
-      for (u64 i = 0; i < chunk; ++i) {
-        if (p[i] != 0) return false;
-      }
-    }
     // Unmaterialized frames are zero by construction.
+    const Frame* f = find_frame((pa - dram_base_) >> kPageShift);
+    if (f != nullptr && !bytes_zero(f->data.get() + off, chunk)) return false;
     pa += chunk;
     len -= chunk;
   }
@@ -165,14 +220,7 @@ u64 PhysMem::content_digest() const {
   };
   for (const u64 frame : indices) {
     const Frame& f = frames_.at(frame);
-    bool all_zero = true;
-    for (u64 i = 0; i < kPageSize; ++i) {
-      if (f.data[i] != 0) {
-        all_zero = false;
-        break;
-      }
-    }
-    if (all_zero) continue;
+    if (bytes_zero(f.data.get(), kPageSize)) continue;
     const u8 idx[8] = {
         static_cast<u8>(frame), static_cast<u8>(frame >> 8),
         static_cast<u8>(frame >> 16), static_cast<u8>(frame >> 24),

@@ -69,13 +69,17 @@ class PhysMem {
   void write_u64(PhysAddr pa, u64 v) { write(pa, 8, v); }
 
   /// Little-endian read of `size` bytes (1/2/4/8); may cross frame borders
-  /// but not the DRAM/MMIO boundary.
+  /// but not the DRAM/MMIO boundary. A DRAM read inside one frame costs one
+  /// find_frame() and a fixed-size load.
   u64 read(PhysAddr pa, unsigned size);
   void write(PhysAddr pa, unsigned size, u64 value);
 
   /// Bulk helpers for loaders and the kernel model.
   void read_block(PhysAddr pa, void* out, u64 len);
   void write_block(PhysAddr pa, const void* in, u64 len);
+  /// memset of simulated DRAM. An unmaterialized frame is zero, so a zero
+  /// fill skips those frames and materializes nothing; materialized frames
+  /// are zeroed in place and their write_gen bumped.
   void fill(PhysAddr pa, u8 byte, u64 len);
 
   /// True if every byte of [pa, pa+len) is zero. Used by the PTStore kernel's
@@ -87,10 +91,11 @@ class PhysMem {
 
   /// Pointer to the write-generation counter of the frame containing `pa`,
   /// or nullptr if the address is not DRAM or the frame has never been
-  /// written (unmaterialized). The counter is bumped on every write into the
-  /// frame, letting consumers (the decode cache) detect content changes
-  /// without snooping individual stores. The pointer stays valid until
-  /// restore_frames() rebuilds the table — watch frame_table_gen() for that.
+  /// written (unmaterialized; a zero fill() does not materialize). The
+  /// counter is bumped on every write into the frame, letting consumers (the
+  /// decode cache) detect content changes without snooping individual stores.
+  /// The pointer stays valid until restore_frames() rebuilds the table —
+  /// watch frame_table_gen() for that.
   const u64* frame_write_gen(PhysAddr pa) const {
     if (!is_dram(pa)) return nullptr;
     auto it = frames_.find((pa - dram_base_) >> kPageShift);

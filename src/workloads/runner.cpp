@@ -1,9 +1,12 @@
 #include "workloads/runner.h"
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 
+#include "common/cli.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_export.h"
@@ -271,17 +274,25 @@ int run_workload_main_with(std::unique_ptr<Workload> w, int argc, char** argv) {
     } else if (arg.rfind("--profile=", 0) == 0) {
       profile_path = arg.substr(10);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      g_fleet.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-    } else if (arg == "--shards" && i + 1 < argc) {
-      g_fleet.shards = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--campaign-seed" && i + 1 < argc) {
-      g_fleet.campaign_seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--harts" && i + 1 < argc) {
-      g_fleet.harts = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-      if (g_fleet.harts < 1 || g_fleet.harts > 8) {
-        std::fprintf(stderr, "--harts must be 1..8\n");
+      u64 v = 0;
+      if (!parse_count(argv[0], "--jobs", argv[++i], 0, UINT_MAX, v, 0)) {
         return 2;
       }
+      g_fleet.jobs = static_cast<unsigned>(v);
+    } else if (arg == "--shards" && i + 1 < argc) {
+      if (!parse_count(argv[0], "--shards", argv[++i], 0, UINT64_MAX,
+                       g_fleet.shards, 0)) {
+        return 2;
+      }
+    } else if (arg == "--campaign-seed" && i + 1 < argc) {
+      if (!parse_count(argv[0], "--campaign-seed", argv[++i], 0, UINT64_MAX,
+                       g_fleet.campaign_seed, 0)) {
+        return 2;
+      }
+    } else if (arg == "--harts" && i + 1 < argc) {
+      u64 v = 0;
+      if (!parse_count(argv[0], "--harts", argv[++i], 1, 8, v, 0)) return 2;
+      g_fleet.harts = static_cast<unsigned>(v);
     } else if (arg == "--backend" && i + 1 < argc) {
       const auto kind = backend_kind_from(argv[++i]);
       if (!kind) {

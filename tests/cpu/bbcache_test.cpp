@@ -180,6 +180,32 @@ TEST(BBCache, StoreThroughAliasedMappingInvalidates) {
   EXPECT_EQ(p.run_at(), 2u);
 }
 
+// Zero fills skip unmaterialized frames but still count as writes to
+// materialized ones: the code frame's write_gen moves and the cached block
+// is rebuilt from the new bytes.
+TEST(BBCache, ZeroFillOfCodeFrameInvalidates) {
+  Machine m;
+  const PhysAddr pc = m.core.config().reset_pc;
+  m.run_program([](Assembler& a) {
+    a.addi(Reg::kA0, Reg::kZero, 7);
+    a.ebreak();
+  });
+  ASSERT_EQ(m.reg(Reg::kA0), 7u);
+  const u64* gen = m.mem.frame_write_gen(pc);
+  ASSERT_NE(gen, nullptr);
+  const u64 gen_before = *gen;
+  const u64 inval_before = m.core.merged_stats().get("bbcache.invalidations");
+
+  // addi's immediate sits in the upper half-word: zeroing it leaves
+  // `addi a0, zero, 0`.
+  m.mem.fill(pc + 2, 0, 2);
+  EXPECT_GT(*gen, gen_before);
+  m.core.set_pc(pc);
+  EXPECT_EQ(m.core.run(16).stop, StopReason::kEbreakHalt);
+  EXPECT_EQ(m.reg(Reg::kA0), 0u);
+  EXPECT_GT(m.core.merged_stats().get("bbcache.invalidations"), inval_before);
+}
+
 // ---- The acceptance invariant: decode cache on vs off ----
 //
 // Each scenario sets up a fresh machine and drives it; with the decode cache

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "kernel/system.h"
 
 namespace ptstore {
@@ -109,6 +111,49 @@ TEST(KernelAdjust, DonatedPagesAreScrubbed) {
   }
   ASSERT_TRUE(sys.sbi().sr_get().contains(below, kPageSize));
   EXPECT_TRUE(sys.mem().is_zero(below, kPageSize));  // Scrubbed on donation.
+}
+
+// Zero fills skip unmaterialized frames, so the scrub must still clear a
+// chunk full of stale data, the kernel's own zero check must agree, and a
+// grow over never-written memory must cost no host frames.
+TEST(KernelAdjust, GrowScrubsStaleChunkAndMaterializesNoFrames) {
+  SystemConfig cfg = SystemConfig::cfi_ptstore();
+  cfg.dram_size = MiB(512);
+  cfg.kernel.secure_region_init = MiB(16);
+  cfg.kernel.adjustment_chunk_pages = 256;
+  System sys(cfg);
+  Kernel& k = sys.kernel();
+  const u64 bytes = cfg.kernel.adjustment_chunk_pages * kPageSize;
+  const PhysAddr old_base = sys.sbi().sr_get().base;
+  const PhysAddr stale = old_base - bytes;
+  sys.mem().fill(stale, 0xA5, bytes);
+
+  ASSERT_TRUE(k.grow_secure_region(0));
+  ASSERT_EQ(sys.sbi().sr_get().base, stale);
+  EXPECT_TRUE(sys.mem().is_zero(stale, bytes));
+
+  // Draw GFP_PTSTORE pages until one comes from the scrubbed chunk.
+  std::optional<PhysAddr> donated;
+  for (u64 n = 0; n < 2 * MiB(16) / kPageSize && !donated; ++n) {
+    const auto p = k.pages().alloc_pages(Gfp::kPtStore, 0);
+    ASSERT_TRUE(p.has_value());
+    if (*p >= stale && *p < old_base) donated = *p;
+  }
+  ASSERT_TRUE(donated.has_value()) << "no page drawn from the donated chunk";
+  const KAccess z = k.kmem().pt_bulk_is_zero(*donated);
+  ASSERT_TRUE(z.ok);
+  EXPECT_EQ(z.value, 1u);
+
+  // The next chunk down was never written: growing over it adds no frame.
+  const PhysAddr next = sys.sbi().sr_get().base - bytes;
+  for (PhysAddr pa = next; pa < next + bytes; pa += kPageSize) {
+    ASSERT_EQ(sys.mem().frame_write_gen(pa), nullptr) << std::hex << pa;
+  }
+  const size_t resident = sys.mem().resident_frames();
+  ASSERT_TRUE(k.grow_secure_region(0));
+  ASSERT_EQ(sys.sbi().sr_get().base, next);
+  EXPECT_EQ(sys.mem().resident_frames(), resident);
+  EXPECT_TRUE(sys.mem().is_zero(next, bytes));
 }
 
 TEST(KernelSyscall, AllPlainSyscallsSucceed) {

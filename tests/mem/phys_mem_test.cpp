@@ -73,6 +73,105 @@ TEST_F(PhysMemTest, FillAndIsZero) {
   EXPECT_FALSE(mem_.is_zero(a, kPageSize));
 }
 
+// An unmaterialized frame is zero, so zeroing one is a no-op: a 4 MiB zero
+// fill over untouched DRAM (a secure-region scrub) materializes nothing.
+TEST_F(PhysMemTest, ZeroFillOverUntouchedDramMaterializesNothing) {
+  mem_.write_u8(kDramBase, 1);
+  ASSERT_EQ(mem_.resident_frames(), 1u);
+  mem_.fill(kDramBase + MiB(8), 0, MiB(4));
+  EXPECT_EQ(mem_.resident_frames(), 1u);
+  EXPECT_TRUE(mem_.is_zero(kDramBase + MiB(8), MiB(4)));
+}
+
+TEST_F(PhysMemTest, ZeroFillZeroesMaterializedFramesAndSkipsAbsentOnes) {
+  // Frames 0, 2 and 4 of the range hold junk; 1 and 3 were never written.
+  const PhysAddr base = kDramBase + MiB(1);
+  std::vector<u64> gens;
+  for (u64 f = 0; f < 5; f += 2) {
+    mem_.fill(base + f * kPageSize, 0xEE, kPageSize);
+    gens.push_back(*mem_.frame_write_gen(base + f * kPageSize));
+  }
+  ASSERT_EQ(mem_.resident_frames(), 3u);
+  // Start and end inside the outer frames so partial chunks are exercised.
+  mem_.fill(base + 16, 0, 5 * kPageSize - 32);
+  EXPECT_EQ(mem_.resident_frames(), 3u);
+  for (u64 f = 0; f < 5; ++f) {
+    const PhysAddr frame = base + f * kPageSize;
+    if (f % 2 == 1) {
+      EXPECT_EQ(mem_.frame_write_gen(frame), nullptr) << "frame " << f;
+      continue;
+    }
+    const u64* gen = mem_.frame_write_gen(frame);
+    ASSERT_NE(gen, nullptr) << "frame " << f;
+    EXPECT_GT(*gen, gens[f / 2]) << "frame " << f;
+  }
+  EXPECT_TRUE(mem_.is_zero(base + 16, 5 * kPageSize - 32));
+  // The bytes outside the fill keep their junk.
+  EXPECT_EQ(mem_.read_u8(base + 15), 0xEE);
+  EXPECT_EQ(mem_.read_u8(base + 5 * kPageSize - 16), 0xEE);
+}
+
+TEST_F(PhysMemTest, NonZeroFillMaterializesEveryFrame) {
+  mem_.fill(kDramBase + kPageSize - 8, 0x01, 2 * kPageSize);
+  EXPECT_EQ(mem_.resident_frames(), 3u);
+  EXPECT_NE(mem_.frame_write_gen(kDramBase + 2 * kPageSize), nullptr);
+  EXPECT_EQ(mem_.read_u64(kDramBase + kPageSize - 8), 0x0101010101010101u);
+}
+
+// The one-frame scalar path and the frame-crossing read_block path agree at
+// every width and every offset near the end of a frame.
+TEST_F(PhysMemTest, ScalarReadsMatchReadBlockAcrossFrameEnd) {
+  const PhysAddr frame = kDramBase + 7 * kPageSize;
+  u8 bytes[2 * 16];
+  for (unsigned i = 0; i < sizeof(bytes); ++i) {
+    bytes[i] = static_cast<u8>(0x31 * (i + 1));
+  }
+  mem_.write_block(frame + kPageSize - 16, bytes, sizeof(bytes));
+  for (u64 off = kPageSize - 8; off < kPageSize; ++off) {
+    for (const unsigned size : {1u, 2u, 4u, 8u}) {
+      u64 want = 0;
+      mem_.read_block(frame + off, &want, size);
+      EXPECT_EQ(mem_.read(frame + off, size), want)
+          << "offset " << off << " size " << size;
+    }
+  }
+}
+
+TEST_F(PhysMemTest, ScalarReadsOfUnmaterializedFramesAreZero) {
+  const PhysAddr frame = kDramBase + 11 * kPageSize;
+  for (u64 off = kPageSize - 8; off < kPageSize; ++off) {
+    for (const unsigned size : {1u, 2u, 4u, 8u}) {
+      EXPECT_EQ(mem_.read(frame + off, size), 0u)
+          << "offset " << off << " size " << size;
+    }
+  }
+  EXPECT_EQ(mem_.resident_frames(), 0u);
+}
+
+// is_zero compares in words between bytewise heads and tails: a single
+// non-zero byte anywhere in an unaligned range's first or last 16 bytes,
+// or in its word-compared middle, must be seen.
+TEST_F(PhysMemTest, IsZeroCatchesEveryByteOfUnalignedHeadAndTail) {
+  const PhysAddr start = kDramBase + 3 * kPageSize + 5;
+  const u64 len = 2 * kPageSize + 11;  // Spans three frames.
+  std::vector<u64> positions;
+  for (u64 i = 0; i < 16; ++i) {
+    positions.push_back(i);
+    positions.push_back(len - 16 + i);
+  }
+  positions.push_back(kPageSize);  // Inside the middle frame.
+  for (const u64 pos : positions) {
+    mem_.write_u8(start + pos, 0x80);
+    EXPECT_FALSE(mem_.is_zero(start, len)) << "byte " << pos;
+    mem_.write_u8(start + pos, 0);
+    EXPECT_TRUE(mem_.is_zero(start, len)) << "byte " << pos;
+  }
+  // Bytes just outside the range are not its business.
+  mem_.write_u8(start - 1, 0x80);
+  mem_.write_u8(start + len, 0x80);
+  EXPECT_TRUE(mem_.is_zero(start, len));
+}
+
 TEST_F(PhysMemTest, SparseResidency) {
   mem_.write_u8(kDramBase, 1);
   mem_.write_u8(kDramBase + MiB(32), 1);

@@ -23,12 +23,14 @@
 // --profile captures a per-shard call-stack profile and writes the merged
 // (sum-by-stack, also jobs-invariant) profile as ptstore.profile.v1 JSON —
 // feed it to `ptprof flame` / `ptprof profile`.
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "common/cli.h"
 #include "harness/campaign.h"
 #include "harness/fleet.h"
 
@@ -74,13 +76,22 @@ int main(int argc, char** argv) {
     if (auto kind = campaign_kind_from(arg)) {
       spec.kind = *kind;
     } else if (arg == "--seed" && i + 1 < argc) {
-      spec.seed = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_count("ptcampaign", "--seed", argv[++i], 0, UINT64_MAX,
+                       spec.seed, 0))
+        return 2;
     } else if (arg == "--shards" && i + 1 < argc) {
-      spec.shards = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_count("ptcampaign", "--shards", argv[++i], 1, UINT64_MAX,
+                       spec.shards, 0))
+        return 2;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      spec.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+      u64 v = 0;
+      if (!parse_count("ptcampaign", "--jobs", argv[++i], 0, UINT_MAX, v, 0))
+        return 2;
+      spec.jobs = static_cast<unsigned>(v);
     } else if (arg == "--ops" && i + 1 < argc) {
-      spec.ops_per_shard = std::strtoull(argv[++i], nullptr, 0);
+      if (!parse_count("ptcampaign", "--ops", argv[++i], 0, UINT64_MAX,
+                       spec.ops_per_shard, 0))
+        return 2;
       spec.diff.op_count = spec.ops_per_shard;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
@@ -93,7 +104,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--with-timing") {
       with_timing = true;
     } else if (arg == "--harts" && i + 1 < argc) {
-      spec.nharts = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+      u64 v = 0;
+      if (!parse_count("ptcampaign", "--harts", argv[++i], 1, 8, v, 0))
+        return 2;
+      spec.nharts = static_cast<unsigned>(v);
       harts_set = true;
     } else if (arg == "--skip-ipi") {
       spec.sabotage_skip_ipi = true;
@@ -115,15 +129,7 @@ int main(int argc, char** argv) {
       return usage(argv[0], arg == "--help" || arg == "-h" ? 0 : 2);
     }
   }
-  if (spec.shards == 0) {
-    std::fprintf(stderr, "--shards must be at least 1\n");
-    return 2;
-  }
   if (spec.kind == CampaignKind::kSmp && !harts_set) spec.nharts = 2;
-  if (spec.nharts < 1 || spec.nharts > 8) {
-    std::fprintf(stderr, "--harts must be 1..8\n");
-    return 2;
-  }
   if (spec.kind == CampaignKind::kSmp && spec.nharts < 2) {
     std::fprintf(stderr, "the smp campaign needs --harts >= 2\n");
     return 2;

@@ -39,6 +39,7 @@
 // --witness (single-file / --kernel modes) the refinement outcome is
 // encoded too: 1 witnessed violations, 3 every violation
 // BOUNDED-UNREACHABLE, 4 some verdict UNKNOWN, 0 clean.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -54,6 +55,7 @@
 #include "analysis/sarif.h"
 #include "analysis/symexec/ptsym.h"
 #include "attacks/witness_replay.h"
+#include "common/cli.h"
 #include "kernel/pagetable.h"
 
 namespace {
@@ -66,16 +68,6 @@ using namespace ptstore::analysis;
 constexpr u64 kDefaultSrEnd = kDramBase + MiB(512);
 constexpr u64 kDefaultSrBase = kDefaultSrEnd - MiB(64);
 constexpr u64 kDefaultImageBase = kUserSpaceBase + MiB(64);
-
-bool parse_u64(const std::string& s, u64* out) {
-  try {
-    size_t pos = 0;
-    *out = std::stoull(s, &pos, 0);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -342,15 +334,16 @@ int main(int argc, char** argv) {
     };
     if (arg == "--base") {
       const char* v = next();
-      if (v == nullptr || !parse_u64(v, &base)) return usage();
+      if (v == nullptr || !parse_u64(v, base, 0)) return usage();
     } else if (arg == "--sr") {
       const char* v = next();
       if (v == nullptr) return usage();
       const std::string s(v);
       const size_t colon = s.find(':');
       if (colon == std::string::npos ||
-          !parse_u64(s.substr(0, colon), &sr_base) ||
-          !parse_u64(s.substr(colon + 1), &sr_end) || sr_base >= sr_end) {
+          !parse_u64(s.substr(0, colon).c_str(), sr_base, 0) ||
+          !parse_u64(s.substr(colon + 1).c_str(), sr_end, 0) ||
+          sr_base >= sr_end) {
         return usage();
       }
     } else if (arg == "--corpus") {
@@ -372,7 +365,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--witness-budget") {
       const char* v = next();
       u64 n = 0;
-      if (v == nullptr || !parse_u64(v, &n) || n == 0) return usage();
+      if (v == nullptr ||
+          !parse_count("ptlint", "--witness-budget", v, 1, UINT32_MAX, n, 0))
+        return usage();
       wit.budget.solver_splits = static_cast<u32>(n);
     } else if (arg == "--witness-json") {
       const char* v = next();

@@ -28,6 +28,7 @@
 
 #include "analysis/ptmc.h"
 #include "attacks/ptmc_replay.h"
+#include "common/cli.h"
 
 namespace {
 
@@ -60,25 +61,6 @@ int usage() {
                "  --json [FILE]    emit result JSON (stdout without FILE)\n"
                "  -v               verbose (print traces)\n");
   return 2;
-}
-
-/// Strict decimal count: digits only (no sign, space or trailing junk),
-/// at least 1 and at most `max`. Reports a bad value and returns false.
-bool parse_count(const char* flag, const char* text, u64 max, u64& out) {
-  u64 v = 0;
-  bool ok = *text != '\0';
-  for (const char* c = text; ok && *c != '\0'; ++c) {
-    const unsigned d = static_cast<unsigned>(*c - '0');
-    ok = d <= 9 && d <= max && v <= (max - d) / 10;
-    v = v * 10 + d;
-  }
-  if (!ok || v == 0) {
-    std::fprintf(stderr, "ptmc: %s needs a whole number in 1..%llu, got '%s'\n",
-                 flag, static_cast<unsigned long long>(max), text);
-    return false;
-  }
-  out = v;
-  return true;
 }
 
 bool write_file(const std::string& path, const std::string& text) {
@@ -187,22 +169,25 @@ int main(int argc, char** argv) {
     } else if (arg == "--prop") {
       const char* n = next("--prop");
       u64 v = 0;
-      if (n == nullptr || !parse_count("--prop", n, mc::kNumProps, v))
+      if (n == nullptr ||
+          !parse_count("ptmc", "--prop", n, 1, mc::kNumProps, v))
         return usage();
       prop_filter = static_cast<int>(v);
     } else if (arg == "--depth") {
       const char* n = next("--depth");
-      if (n == nullptr || !parse_count("--depth", n, 0xFFFF'FFFFu, max_depth))
+      if (n == nullptr ||
+          !parse_count("ptmc", "--depth", n, 1, 0xFFFF'FFFFu, max_depth))
         return usage();
     } else if (arg == "--states") {
       const char* n = next("--states");
       if (n == nullptr ||
-          !parse_count("--states", n, mc::kMaxStates, max_states))
+          !parse_count("ptmc", "--states", n, 1, mc::kMaxStates, max_states))
         return usage();
     } else if (arg == "--harts") {
       const char* n = next("--harts");
       u64 v = 0;
-      if (n == nullptr || !parse_count("--harts", n, 2, v)) return usage();
+      if (n == nullptr || !parse_count("ptmc", "--harts", n, 1, 2, v))
+        return usage();
       nharts = static_cast<unsigned>(v);
     } else if (arg == "--skip-ipi") {
       skip_ipi = true;

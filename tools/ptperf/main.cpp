@@ -10,6 +10,7 @@
 // cycles of the bracketed sessions. --json writes the same BenchReport the
 // bench drivers emit under --json; --trace writes a Chrome trace_event dump
 // viewable in chrome://tracing or ui.perfetto.dev.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_export.h"
@@ -64,7 +66,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--smoke") {
       setenv("PTSTORE_SMOKE", "1", 1);
     } else if (arg == "--top" && i + 1 < argc) {
-      top_n = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      u64 v = 0;
+      if (!parse_count("ptperf", "--top", argv[++i], 0, SIZE_MAX, v)) return 2;
+      top_n = static_cast<size_t>(v);
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {

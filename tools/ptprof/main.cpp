@@ -22,6 +22,7 @@
 // lands in named frames (not pseudo-roots or unsymbolized guest addresses).
 // `flame` renders a saved ptstore.profile.v1 JSON as a self-contained SVG
 // flamegraph; --folded output is flamegraph.pl-compatible.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +33,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli.h"
 #include "kernel/kconfig.h"
 #include "telemetry/flamegraph.h"
 #include "telemetry/profile.h"
@@ -284,7 +286,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--label" && i + 1 < argc) {
       a.label = argv[++i];
     } else if (arg == "--top" && i + 1 < argc) {
-      a.top_n = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      u64 v = 0;
+      if (!parse_count("ptprof", "--top", argv[++i], 0, SIZE_MAX, v)) return 2;
+      a.top_n = static_cast<size_t>(v);
     } else if (arg == "--json" && i + 1 < argc) {
       a.json_path = argv[++i];
     } else if (arg == "--folded" && i + 1 < argc) {
@@ -300,7 +304,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--title" && i + 1 < argc) {
       a.title = argv[++i];
     } else if (arg == "--width" && i + 1 < argc) {
-      a.width = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      u64 v = 0;
+      if (!parse_count("ptprof", "--width", argv[++i], 0, SIZE_MAX, v)) {
+        return 2;
+      }
+      a.width = static_cast<size_t>(v);
     } else if (arg == "--check" && i + 1 < argc) {
       a.check_pct = std::strtod(argv[++i], nullptr);
     } else if (!arg.empty() && arg[0] == '-') {
