@@ -113,12 +113,26 @@ struct AbsVal {
 /// One interval per architectural register (x0 pinned to exact 0).
 using RegIntervals = std::array<AbsVal, 32>;
 
+/// The registers at an analysis root: x0 = 0, everything else Top.
+RegIntervals entry_intervals();
+
+/// Interval hull of x1..x31 into `into`; true if any register grew.
+bool join_intervals(RegIntervals& into, const RegIntervals& from);
+
+/// The RISC-V caller-saved set (ra, t0–t6, a0–a7): any callee may write
+/// these; callee-saved registers and sp/gp/tp survive per the ABI the
+/// assembler-built images follow.
+inline constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13,
+                                      14, 15, 16, 17, 28, 29, 30, 31};
+
+/// Send every caller-saved register to Top (a call-return edge).
+void clobber_caller_saved(RegIntervals& regs);
+
 /// Shared forward transfer for one instruction's register effect: constants
-/// and address arithmetic stay precise, everything unmodelled (loads, CSR
-/// reads, mul/div, compares) degrades soundly to Top. Terminator link
-/// writes (jal/jalr rd) are the caller's job — it knows the edge kind.
-/// Used by both the intra-procedural linter and the interprocedural ptflow
-/// pass so the two analyses can never disagree on address formation.
+/// and address arithmetic stay precise, a jal/jalr link register gets the
+/// exact return address, everything unmodelled (loads, CSR reads, mul/div,
+/// compares) degrades soundly to Top. Used by the linter, the call-graph
+/// resolver and ptflow so they can never disagree on address formation.
 void interval_step(u64 pc, const isa::Inst& in, RegIntervals& regs);
 
 }  // namespace ptstore::analysis

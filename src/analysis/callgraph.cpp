@@ -4,7 +4,7 @@
 #include <deque>
 #include <sstream>
 
-#include "analysis/absval.h"
+#include "analysis/fixpoint.h"
 
 namespace ptstore::analysis {
 namespace {
@@ -13,90 +13,38 @@ using isa::Inst;
 using isa::Op;
 
 constexpr u8 kRegRa = 1;
-constexpr int kWidenAfter = 4;
 
-/// Global interval fixpoint (registers only) used to resolve indirect call
-/// targets. A trimmed-down ptlint solver: same transfer, same widening,
-/// caller-saved clobber across call-return edges — precision is only needed
-/// for the li/auipc-materialised function-pointer idiom.
-class TargetResolver {
- public:
-  TargetResolver(const Image& img, const Cfg& cfg) : img_(img), cfg_(cfg) {}
-
-  /// Interval of the jalr target (rs1 + imm) for every indirect exit, by pc.
-  std::map<u64, AbsVal> solve(const std::set<u64>& roots) {
-    std::deque<u64> work;
-    for (const u64 r : roots) {
-      if (cfg_.block_at(r) == nullptr) continue;
-      if (join(r, entry_state())) work.push_back(r);
-    }
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
-      const BasicBlock* bb = cfg_.block_at(at);
-      if (bb == nullptr) continue;
-      RegIntervals st = states_[at].first;
-      for (u64 pc = bb->start; pc < bb->end; pc += 4) {
-        const Inst in = img_.inst_at(pc);
-        if (in.op == Op::kJalr) {
-          const AbsVal t = AbsVal::add_imm(st[in.rs1], in.imm);
-          auto it = targets_.find(pc);
-          if (it == targets_.end()) {
-            targets_.emplace(pc, t);
-          } else {
-            it->second = it->second.join(t);
-          }
-        }
-        interval_step(pc, in, st);
-        if (in.is_jump() && in.rd != 0) st[in.rd] = AbsVal::exact(pc + 4);
+/// Interval of the jalr target (rs1 + imm) for every indirect exit, by pc,
+/// from one global interval fixpoint over the image. Registers only, with
+/// the caller-saved clobber across call-return edges: precision is needed
+/// only for the li/auipc-materialised function-pointer idiom.
+std::map<u64, AbsVal> resolve_jalr_targets(const Image& img, const Cfg& cfg,
+                                           const std::set<u64>& roots) {
+  Fixpoint<IntervalState> fix;
+  for (const u64 r : roots) {
+    if (cfg.block_at(r) != nullptr) fix.seed(r, IntervalState{.reached = true});
+  }
+  std::map<u64, AbsVal> targets;
+  fix.run([&](u64 at, IntervalState st) {
+    const BasicBlock* bb = cfg.block_at(at);
+    if (bb == nullptr) return;
+    for (u64 pc = bb->start; pc < bb->end; pc += 4) {
+      const Inst in = img.inst_at(pc);
+      if (in.op == Op::kJalr) {
+        const AbsVal t = AbsVal::add_imm(st.regs[in.rs1], in.imm);
+        const auto [it, fresh] = targets.emplace(pc, t);
+        if (!fresh) it->second = it->second.join(t);
       }
-      for (const Edge& e : bb->succs) {
-        RegIntervals next = st;
-        if (e.kind == EdgeKind::kCallReturn) clobber_caller_saved(next);
-        if (join(e.to, next)) work.push_back(e.to);
-      }
+      interval_step(pc, in, st.regs);
     }
-    return targets_;
-  }
-
- private:
-  static RegIntervals entry_state() {
-    RegIntervals st;
-    for (AbsVal& v : st) v = AbsVal::top();
-    st[0] = AbsVal::exact(0);
-    return st;
-  }
-
-  static void clobber_caller_saved(RegIntervals& st) {
-    static constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13, 14,
-                                          15, 16, 17, 28, 29, 30, 31};
-    for (const u8 r : kCallerSaved) st[r] = AbsVal::top();
-  }
-
-  bool join(u64 at, const RegIntervals& st) {
-    auto it = states_.find(at);
-    if (it == states_.end()) {
-      states_.emplace(at, std::make_pair(st, 0));
-      return true;
+    for (const Edge& e : bb->succs) {
+      IntervalState next = st;
+      if (e.kind == EdgeKind::kCallReturn) clobber_caller_saved(next.regs);
+      fix.join(e.to, next);
     }
-    RegIntervals& dst = it->second.first;
-    bool changed = false;
-    const bool widen = ++it->second.second > kWidenAfter;
-    for (unsigned r = 1; r < 32; ++r) {
-      const AbsVal j = dst[r].join(st[r]);
-      if (j != dst[r]) {
-        dst[r] = widen ? AbsVal::top() : j;
-        changed = true;
-      }
-    }
-    return changed;
-  }
-
-  const Image& img_;
-  const Cfg& cfg_;
-  std::map<u64, std::pair<RegIntervals, int>> states_;
-  std::map<u64, AbsVal> targets_;
-};
+  });
+  return targets;
+}
 
 std::string function_name(const Image& img, u64 entry) {
   const Symbol* sym = img.symbol_at(entry);
@@ -144,7 +92,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
     if (grew) continue;  // New direct-call entries: rebuild once more.
 
     const std::map<u64, AbsVal> jalr_targets =
-        TargetResolver(img, cg.cfg_).solve(entries);
+        resolve_jalr_targets(img, cg.cfg_, entries);
 
     // Partition blocks into functions and classify every call site.
     for (const u64 entry : entries) {

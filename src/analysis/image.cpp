@@ -20,6 +20,20 @@ std::string Image::locate(u64 pc) const {
   return os.str();
 }
 
+std::vector<std::string> Image::disassembly_context(u64 pc) const {
+  std::vector<std::string> lines;
+  const u64 lo = (pc >= base + 8) ? pc - 8 : base;
+  const u64 hi = (pc + 12 <= end()) ? pc + 12 : end();
+  for (u64 p = lo; p < hi; p += 4) {
+    if (!contains(p)) continue;
+    std::ostringstream os;
+    os << (p == pc ? " => " : "    ") << "0x" << std::hex << p << "  "
+       << isa::disassemble(inst_at(p));
+    lines.push_back(os.str());
+  }
+  return lines;
+}
+
 const Symbol* Image::symbol_at(u64 address) const {
   for (const Symbol& s : symbols) {
     if (s.address == address) return &s;

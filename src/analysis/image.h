@@ -46,6 +46,10 @@ struct Image {
   /// "entry+offset" when no symbol precedes `pc`.
   std::string locate(u64 pc) const;
 
+  /// The instruction at `pc` and up to two neighbours either side, one
+  /// " => 0x...  disasm" (at pc) or "    0x...  disasm" line each.
+  std::vector<std::string> disassembly_context(u64 pc) const;
+
   /// Exact-address symbol lookup; nullptr when none.
   const Symbol* symbol_at(u64 address) const;
 

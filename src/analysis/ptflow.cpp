@@ -1,8 +1,8 @@
 #include "analysis/ptflow.h"
 
-#include <deque>
 #include <sstream>
 
+#include "analysis/fixpoint.h"
 #include "isa/csr.h"
 
 namespace ptstore::analysis {
@@ -11,32 +11,7 @@ namespace {
 using isa::Inst;
 using isa::Op;
 
-constexpr int kWidenAfter = 4;
 constexpr u8 kRegRa = 1;
-
-bool writes_csr(const Inst& in) {
-  switch (in.op) {
-    case Op::kCsrrw:
-    case Op::kCsrrwi:
-      return true;
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrsi:  // rs1 field holds the uimm for the immediate forms.
-    case Op::kCsrrci:
-      return in.rs1 != 0;
-    default:
-      return false;
-  }
-}
-
-void clobber_caller_saved(FlowState& st) {
-  static constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13, 14,
-                                        15, 16, 17, 28, 29, 30, 31};
-  for (const u8 r : kCallerSaved) {
-    st.regs[r] = AbsVal::top();
-    st.taint[r] = 0;
-  }
-}
 
 /// Substitute a summary's symbolic argument bits with the caller's actual
 /// taint at the call site.
@@ -161,7 +136,7 @@ class FlowVerifier {
     return false;
   }
 
-  // ---- the shared intra-procedural engine ----
+  // ---- the intra-procedural pass ----
 
   /// Analyze one function from `entry_state`. In check mode diags are
   /// emitted; context propagations to callees are recorded in `ctx_out`
@@ -169,22 +144,20 @@ class FlowVerifier {
   ExitAcc analyze(const Function& fn, const FlowState& entry_state,
                   bool check_mode,
                   std::map<u64, FlowState>* ctx_out) {
-    std::map<u64, std::pair<FlowState, int>> states;
-    std::set<u64> owned(fn.blocks.begin(), fn.blocks.end());
+    const std::set<u64> owned(fn.blocks.begin(), fn.blocks.end());
     ExitAcc exits;
+    Fixpoint<FlowState> fix;
+    const auto propagate = [&](u64 to, const FlowState& next) {
+      if (owned.count(to) != 0) fix.join(to, next);
+    };
 
-    std::deque<u64> work;
     FlowState seed = entry_state;
     if (summaries_[fn.entry].is_mediation) seed.mediated = true;
-    states[fn.entry] = {seed, 0};
-    work.push_back(fn.entry);
+    fix.seed(fn.entry, seed);
 
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
+    fix.run([&](u64 at, FlowState st) {
       const BasicBlock* bb = cg_.cfg().block_at(at);
-      if (bb == nullptr || owned.count(at) == 0) continue;
-      FlowState st = states[at].first;
+      if (bb == nullptr || owned.count(at) == 0) return;
 
       for (u64 pc = bb->start; pc < bb->end; pc += 4) {
         const Inst in = img_.inst_at(pc);
@@ -213,10 +186,6 @@ class FlowVerifier {
           // Re-taint the loaded value from the spec's secret sources.
           st.taint[in.rd] = spec_.secret_taint(acc.addr);
         }
-        if (in.is_jump() && in.rd != 0) {
-          st.regs[in.rd] = AbsVal::exact(pc + 4);
-          st.taint[in.rd] = 0;
-        }
       }
 
       const u64 term_pc = bb->end - 4;
@@ -224,27 +193,22 @@ class FlowVerifier {
       const CallSite* cs = fn.call_at(term_pc);
 
       if (cs != nullptr) {
-        handle_call(fn, *cs, term_pc, st, check_mode, ctx_out, &exits,
-                    [&](u64 to, const FlowState& next) {
-                      propagate(states, owned, to, next, work);
-                    });
-        continue;
+        handle_call(*cs, term_pc, st, check_mode, ctx_out, &exits, propagate);
+        return;
       }
       if (term.op == Op::kJalr && term.rd == 0 && term.rs1 == kRegRa) {
         exits.add(st.mediated, st.cred_written, st.taint[10], st.taint[11]);
-        continue;
+        return;
       }
-      for (const Edge& e : bb->succs) propagate(states, owned, e.to, st, work);
-    }
+      for (const Edge& e : bb->succs) propagate(e.to, st);
+    });
     return exits;
   }
 
   template <typename Propagate>
-  void handle_call(const Function& fn, const CallSite& cs, u64 pc,
-                   const FlowState& at_call, bool check_mode,
-                   std::map<u64, FlowState>* ctx_out, ExitAcc* exits,
-                   Propagate&& propagate_next) {
-    (void)fn;
+  void handle_call(const CallSite& cs, u64 pc, const FlowState& at_call,
+                   bool check_mode, std::map<u64, FlowState>* ctx_out,
+                   ExitAcc* exits, const Propagate& propagate_next) {
     // T3: a secret reaching a sink's argument registers (a0..a2).
     if (check_mode && spec_.t3) {
       for (const u64 t : cs.targets) {
@@ -263,14 +227,7 @@ class FlowVerifier {
 
     // Record the calling context for every resolved callee.
     if (ctx_out != nullptr) {
-      for (const u64 t : cs.targets) {
-        auto it = ctx_out->find(t);
-        if (it == ctx_out->end()) {
-          (*ctx_out)[t] = at_call;
-        } else {
-          it->second.join_from(at_call);
-        }
-      }
+      for (const u64 t : cs.targets) (*ctx_out)[t].join_from(at_call);
     }
 
     // Summary effects of the callee set: must-flags AND over all possible
@@ -303,7 +260,8 @@ class FlowVerifier {
     }
 
     FlowState next = at_call;
-    clobber_caller_saved(next);
+    clobber_caller_saved(next.regs);
+    for (const u8 r : kCallerSaved) next.taint[r] = 0;
     next.taint[10] = ret0;
     next.taint[11] = ret1;
     if (callee_mediates) next.mediated = true;
@@ -314,23 +272,6 @@ class FlowVerifier {
         if (e.kind == EdgeKind::kCallReturn) propagate_next(e.to, next);
       }
     }
-  }
-
-  void propagate(std::map<u64, std::pair<FlowState, int>>& states,
-                 const std::set<u64>& owned, u64 to, const FlowState& st,
-                 std::deque<u64>& work) {
-    if (owned.count(to) == 0) return;
-    auto& slot = states[to];
-    const FlowState before = slot.first;
-    if (!slot.first.join_from(st)) return;
-    if (++slot.second > kWidenAfter && before.reached) {
-      for (unsigned r = 1; r < 32; ++r) {
-        if (slot.first.regs[r] != before.regs[r]) {
-          slot.first.regs[r] = AbsVal::top();
-        }
-      }
-    }
-    work.push_back(to);
   }
 
   // ---- rule checks ----
@@ -376,16 +317,18 @@ class FlowVerifier {
 
   void compute_summaries() {
     // bottom_up() keeps SCC members adjacent: iterate each group until its
-    // summaries stop changing (recursion converges; taint only grows and
-    // must-flags only flip pessimistic->established).
+    // summaries stop changing. That always happens: join_effects only grows
+    // a finite lattice (two taint sets, two must-flags that only flip
+    // pessimistic->established), however many rounds a long recursion
+    // ring needs to carry a fact against the member order.
     const std::vector<u64>& order = cg_.bottom_up();
     size_t i = 0;
     while (i < order.size()) {
       size_t j = i;
       const size_t scc = cg_.scc_id(order[i]);
       while (j < order.size() && cg_.scc_id(order[j]) == scc) ++j;
-      for (int round = 0; round < 10; ++round) {
-        bool changed = false;
+      for (bool changed = true; changed;) {
+        changed = false;
         for (size_t k = i; k < j; ++k) {
           const Function* fn = cg_.function_at(order[k]);
           if (fn == nullptr) continue;
@@ -401,49 +344,32 @@ class FlowVerifier {
           }
           changed = summaries_[fn->entry].join_effects(next) || changed;
         }
-        if (!changed) break;
       }
       i = j;
     }
   }
 
   void solve_contexts() {
-    std::deque<u64> work;
+    const FlowState root = FlowState::entry(/*symbolic_args=*/false);
     const auto seed = [&](u64 e) {
-      if (cg_.function_at(e) == nullptr) return;
-      if (ctx_[e].join_from(FlowState::entry(/*symbolic_args=*/false))) {
-        work.push_back(e);
-      }
+      if (cg_.function_at(e) != nullptr) contexts_.seed(e, root);
     };
     seed(img_.base);
     for (const u64 r : spec_.extra_roots) seed(r);
 
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
+    contexts_.run([&](u64 at, const FlowState& ctx) {
       const Function* fn = cg_.function_at(at);
-      if (fn == nullptr) continue;
+      if (fn == nullptr) return;
       std::map<u64, FlowState> calls;
-      analyze(*fn, ctx_[at], /*check_mode=*/false, &calls);
-      for (auto& [callee, st] : calls) {
-        FlowState& dst = ctx_[callee];
-        const FlowState before = dst;
-        if (!dst.join_from(st)) continue;
-        if (++ctx_joins_[callee] > kWidenAfter && before.reached) {
-          for (unsigned r = 1; r < 32; ++r) {
-            if (dst.regs[r] != before.regs[r]) dst.regs[r] = AbsVal::top();
-          }
-        }
-        work.push_back(callee);
-      }
-    }
+      analyze(*fn, ctx, /*check_mode=*/false, &calls);
+      for (const auto& [callee, st] : calls) contexts_.join(callee, st);
+    });
   }
 
   void check() {
     for (const Function& fn : cg_.functions()) {
-      auto it = ctx_.find(fn.entry);
-      if (it == ctx_.end() || !it->second.reached) continue;
-      analyze(fn, it->second, /*check_mode=*/true, nullptr);
+      const FlowState* ctx = contexts_.state(fn.entry);
+      if (ctx != nullptr) analyze(fn, *ctx, /*check_mode=*/true, nullptr);
     }
   }
 
@@ -459,15 +385,7 @@ class FlowVerifier {
     d.sev = sev;
     d.pc = pc;
     d.message = img_.locate(pc) + ": " + std::move(message);
-    const u64 lo = (pc >= img_.base + 8) ? pc - 8 : img_.base;
-    const u64 hi = (pc + 12 <= img_.end()) ? pc + 12 : img_.end();
-    for (u64 p = lo; p < hi; p += 4) {
-      if (!img_.contains(p)) continue;
-      std::ostringstream os;
-      os << (p == pc ? " => " : "    ") << "0x" << std::hex << p << "  "
-         << isa::disassemble(img_.inst_at(p));
-      d.context.push_back(os.str());
-    }
+    d.context = img_.disassembly_context(pc);
     report_.diags.push_back(std::move(d));
   }
 
@@ -475,8 +393,7 @@ class FlowVerifier {
   const FlowSpec& spec_;
   CallGraph cg_;
   std::map<u64, FnSummary> summaries_;
-  std::map<u64, FlowState> ctx_;
-  std::map<u64, int> ctx_joins_;
+  Fixpoint<FlowState> contexts_;
   std::set<std::pair<u8, u64>> seen_;
   FlowReport report_;
 };

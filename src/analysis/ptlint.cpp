@@ -1,9 +1,8 @@
 #include "analysis/ptlint.h"
 
-#include <array>
-#include <deque>
 #include <sstream>
 
+#include "analysis/fixpoint.h"
 #include "isa/csr.h"
 
 namespace ptstore::analysis {
@@ -15,17 +14,9 @@ using isa::Op;
 /// Abstract machine state at one program point: one interval per register
 /// plus the R3 must-flag ("a token-validation call dominates this point").
 struct RegState {
-  std::array<AbsVal, 32> regs;
+  RegIntervals regs = entry_intervals();
   bool validated = false;
   bool reached = false;
-
-  static RegState entry() {
-    RegState st;
-    st.reached = true;
-    for (AbsVal& v : st.regs) v = AbsVal::top();
-    st.regs[0] = AbsVal::exact(0);
-    return st;
-  }
 
   /// Join: interval lub per register, AND on the must-flag.
   bool join_from(const RegState& o) {
@@ -34,14 +25,7 @@ struct RegState {
       *this = o;
       return true;
     }
-    bool changed = false;
-    for (unsigned r = 1; r < 32; ++r) {
-      const AbsVal j = regs[r].join(o.regs[r]);
-      if (j != regs[r]) {
-        regs[r] = j;
-        changed = true;
-      }
-    }
+    bool changed = join_intervals(regs, o.regs);
     if (validated && !o.validated) {
       validated = false;
       changed = true;
@@ -50,34 +34,10 @@ struct RegState {
   }
 };
 
-/// Joins tolerated at one block entry before changing registers are widened
-/// straight to Top (guarantees fixpoint termination on loops).
-constexpr int kWidenAfter = 4;
-
-bool writes_csr(const Inst& in) {
-  switch (in.op) {
-    case Op::kCsrrw:
-    case Op::kCsrrwi:
-      return true;
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrsi:  // rs1 field holds the uimm for the immediate forms.
-    case Op::kCsrrci:
-      return in.rs1 != 0;
-    default:
-      return false;
-  }
-}
-
 bool is_pmp_csr(u32 csr) {
   return (csr >= isa::csr::kPmpcfg0 && csr <= isa::csr::kPmpcfg0 + 3) ||
          (csr >= isa::csr::kPmpaddr0 && csr <= isa::csr::kPmpaddr0 + 15);
 }
-
-/// Transfer function for one non-terminator effect (terminator link writes
-/// are applied by the caller, which knows the edge kind). The interval part
-/// is the shared analysis/absval.h transfer, so ptlint and ptflow agree.
-void step(u64 pc, const Inst& in, RegState& st) { interval_step(pc, in, st.regs); }
 
 struct AccessInfo {
   bool is_access = false;
@@ -126,23 +86,8 @@ class Linter {
     for (u64 pc = bb.start; pc < bb.end; pc += 4) {
       const Inst in = img_.inst_at(pc);
       visit(pc, in, st);
-      step(pc, in, st);
-      if (in.is_jump() && in.rd != 0) {
-        st.regs[in.rd] = AbsVal::exact(pc + 4);
-      }
+      interval_step(pc, in, st.regs);
     }
-    return st;
-  }
-
-  /// Post-call continuation state: caller-saved registers are clobbered
-  /// (any callee may write them); callee-saved and sp/gp/tp survive per the
-  /// ABI the assembler-built images follow.
-  static RegState call_return_state(const RegState& at_call, bool validates) {
-    RegState st = at_call;
-    static constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13, 14,
-                                          15, 16, 17, 28, 29, 30, 31};
-    for (const u8 r : kCallerSaved) st.regs[r] = AbsVal::top();
-    if (validates) st.validated = true;
     return st;
   }
 
@@ -156,58 +101,40 @@ class Linter {
   }
 
   void solve() {
-    std::deque<u64> work;
+    const RegState root{.reached = true};
     const auto seed = [&](u64 pc) {
-      if (cfg_graph_.block_at(pc) != nullptr &&
-          entry_[pc].join_from(RegState::entry())) {
-        work.push_back(pc);
-      }
+      if (cfg_graph_.block_at(pc) != nullptr) fix_.seed(pc, root);
     };
     seed(img_.base);
     for (const u64 r : cfg_.extra_roots) seed(r);
 
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
+    fix_.run([&](u64 at, const RegState& entry) {
       const BasicBlock* bb = cfg_graph_.block_at(at);
-      if (bb == nullptr) continue;
+      if (bb == nullptr) return;
       const RegState out =
-          interpret(*bb, entry_[at], [](u64, const Inst&, RegState&) {});
+          interpret(*bb, entry, [](u64, const Inst&, RegState&) {});
       for (const Edge& e : bb->succs) {
-        RegState next = out;
-        if (e.kind == EdgeKind::kCallReturn) {
-          // For a direct call the callee address is the paired kCall edge's
-          // target; an indirect call (no kCall edge) validates nothing.
-          u64 callee = 0;
-          bool direct = false;
-          for (const Edge& c : bb->succs) {
-            if (c.kind == EdgeKind::kCall) {
-              callee = c.to;
-              direct = true;
-            }
-          }
-          next = call_return_state(out, direct && call_target_validates(callee));
+        if (e.kind != EdgeKind::kCallReturn) {
+          fix_.join(e.to, out);
+          continue;
         }
-        propagate(e.to, next, work);
+        // For a direct call the callee address is the paired kCall edge's
+        // target; an indirect call (no kCall edge) validates nothing.
+        RegState next = out;
+        clobber_caller_saved(next.regs);
+        for (const Edge& c : bb->succs) {
+          if (c.kind == EdgeKind::kCall && call_target_validates(c.to)) {
+            next.validated = true;
+          }
+        }
+        fix_.join(e.to, next);
       }
-    }
-  }
-
-  void propagate(u64 to, const RegState& st, std::deque<u64>& work) {
-    RegState& dst = entry_[to];
-    const RegState before = dst;
-    if (!dst.join_from(st)) return;
-    if (++join_count_[to] > kWidenAfter && before.reached) {
-      for (unsigned r = 1; r < 32; ++r) {
-        if (dst.regs[r] != before.regs[r]) dst.regs[r] = AbsVal::top();
-      }
-    }
-    work.push_back(to);
+    });
   }
 
   void report_block(const BasicBlock& bb) {
-    auto it = entry_.find(bb.start);
-    if (it == entry_.end() || !it->second.reached) return;
+    const RegState* entry = fix_.state(bb.start);
+    if (entry == nullptr) return;
 
     if (bb.start < cfg_.sr_end && bb.end > cfg_.sr_base) {
       diag(DiagKind::kFetchFromSecure, Severity::kViolation,
@@ -215,7 +142,7 @@ class Linter {
            "reachable code lies inside the secure region");
     }
 
-    interpret(bb, it->second, [&](u64 pc, const Inst& in, RegState& st) {
+    interpret(bb, *entry, [&](u64 pc, const Inst& in, RegState& st) {
       check_inst(pc, in, st);
     });
 
@@ -289,27 +216,33 @@ class Linter {
     d.sev = sev;
     d.pc = pc;
     d.message = img_.locate(pc) + ": " + std::move(message);
-    const u64 lo = (pc >= img_.base + 8) ? pc - 8 : img_.base;
-    const u64 hi = (pc + 12 <= img_.end()) ? pc + 12 : img_.end();
-    for (u64 p = lo; p < hi; p += 4) {
-      if (!img_.contains(p)) continue;
-      std::ostringstream os;
-      os << (p == pc ? " => " : "    ") << "0x" << std::hex << p << "  "
-         << isa::disassemble(img_.inst_at(p));
-      d.context.push_back(os.str());
-    }
+    d.context = img_.disassembly_context(pc);
     report_.diags.push_back(std::move(d));
   }
 
   const Image& img_;
   const LintConfig& cfg_;
   Cfg cfg_graph_;
-  std::map<u64, RegState> entry_;
-  std::map<u64, int> join_count_;
+  Fixpoint<RegState> fix_;
   LintReport report_;
 };
 
 }  // namespace
+
+bool writes_csr(const Inst& in) {
+  switch (in.op) {
+    case Op::kCsrrw:
+    case Op::kCsrrwi:
+      return true;
+    case Op::kCsrrs:
+    case Op::kCsrrc:
+    case Op::kCsrrsi:  // rs1 field holds the uimm for the immediate forms.
+    case Op::kCsrrci:
+      return in.rs1 != 0;
+    default:
+      return false;
+  }
+}
 
 const char* access_class_name(AccessClass c) {
   switch (c) {

@@ -80,6 +80,10 @@ struct LintReport {
   std::string format() const;
 };
 
+/// True when `in` writes its CSR: csrrw/csrrwi always, the set/clear forms
+/// only with a nonzero rs1/uimm (a zero operand makes them pure reads).
+bool writes_csr(const isa::Inst& in);
+
 /// Run the verifier over one image.
 LintReport lint_image(const Image& img, const LintConfig& cfg);
 

@@ -67,7 +67,7 @@ struct FlowState {
   /// Apply one instruction's register effects (interval + taint).
   /// Loads/AMO results are left Top/untainted here — the verifier
   /// re-taints rd from the spec's secret ranges, which this layer cannot
-  /// know. Terminator link writes are the caller's job.
+  /// know. A jal/jalr link register gets the exact, clean return address.
   void step(u64 pc, const isa::Inst& in);
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "analysis/flow_corpus.h"
 #include "analysis/ptflow.h"
@@ -356,6 +357,52 @@ TEST(Flow, StockBackendAcceptsEverything) {
         a.ebreak();
       });
   EXPECT_TRUE(rep.clean());
+}
+
+TEST(Flow, SummariesRunToStabilityAroundALongRecursionRing) {
+  // g0 reads the token and returns it; every other ring member g_i returns
+  // what g_{i-1} returns. Each g_i first calls g_{i+1}, so the call graph's
+  // DFS discovers g0..g11 in that order and bottom_up() lists the ring as
+  // g11..g0: the token moves one member per summary round, against the
+  // order. The summaries must iterate until they stop changing (12 rounds
+  // here), or entry's store of g11's result misses T1.
+  constexpr int kRing = 12;
+  const Image img = image_of([](Assembler& a, std::vector<Symbol>& sy) {
+    std::vector<Assembler::Label> g;
+    for (int i = 0; i < kRing; ++i) g.push_back(a.make_label());
+    a.jal(Reg::kRa, g[0]);
+    a.jal(Reg::kRa, g[kRing - 1]);
+    a.li(Reg::kT1, kScratch);
+    a.sd(Reg::kA0, Reg::kT1, 0);
+    a.ebreak();
+    for (int i = 0; i < kRing; ++i) {
+      a.bind(g[i]);
+      if (i + 1 < kRing) a.jal(Reg::kRa, g[i + 1]);
+      if (i == 0) {
+        a.li(Reg::kT0, kToken);
+        a.ld_pt(Reg::kA0, Reg::kT0, 0);
+      } else {
+        a.jal(Reg::kRa, g[i - 1]);
+      }
+      a.ret();
+      sy.push_back({"g" + std::to_string(i), *a.label_address(g[i])});
+    }
+  });
+
+  // The precondition: one SCC, listed against the data flow.
+  const CallGraph cg = CallGraph::build(img);
+  const std::vector<u64>& order = cg.bottom_up();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kRing + 1));
+  for (int k = 0; k < kRing; ++k) {
+    EXPECT_EQ(cg.function_at(order[k])->name,
+              "g" + std::to_string(kRing - 1 - k));
+  }
+  EXPECT_TRUE(cg.recursive(*img.symbol_address("g0")));
+
+  const FlowReport rep =
+      flow_verify(img, FlowSpec::for_backend(BackendKind::kPtstore, kSr, kSrEnd));
+  EXPECT_EQ(rep.violation_count(), 1u) << rep.format();
+  EXPECT_TRUE(has_kind(rep, FlowDiagKind::kSecretEscapes)) << rep.format();
 }
 
 TEST(Flow, ReportFormatNamesRuleAndFunction) {

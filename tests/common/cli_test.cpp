@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 namespace ptstore {
 namespace {
@@ -45,6 +46,23 @@ TEST(Cli, ParseCountChecksTheRange) {
   EXPECT_FALSE(parse_count("t", "--n", "9", 1, 8, out));
   EXPECT_FALSE(parse_count("t", "--n", "0", 1, 8, out));
   EXPECT_EQ(out, 8u);
+}
+
+TEST(Cli, ParseRealIsStrictAndRangeChecked) {
+  for (const auto& [text, want] :
+       {std::pair{"90", 90.0}, {"0", 0.0}, {"100", 100.0}, {"92.5", 92.5},
+        {".5", 0.5}, {"9e1", 90.0}, {"5e-1", 0.5}}) {
+    double out = -1.0;
+    ASSERT_TRUE(parse_real("t", "--pct", text, 0.0, 100.0, out)) << text;
+    EXPECT_EQ(out, want) << text;
+  }
+  for (const char* text : {"", "abc", "-5", "+5", " 5", "5 ", "5x", ".", "nan",
+                           "inf", "NaN", "0x10", "1e999", "100.5", "1-2"}) {
+    double out = -1.0;
+    EXPECT_FALSE(parse_real("t", "--pct", text, 0.0, 100.0, out))
+        << "'" << text << "'";
+    EXPECT_EQ(out, -1.0) << "'" << text << "'";
+  }
 }
 
 }  // namespace

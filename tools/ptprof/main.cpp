@@ -310,7 +310,10 @@ int main(int argc, char** argv) {
       }
       a.width = static_cast<size_t>(v);
     } else if (arg == "--check" && i + 1 < argc) {
-      a.check_pct = std::strtod(argv[++i], nullptr);
+      if (!parse_real("ptprof", "--check", argv[++i], 0.0, 100.0,
+                      a.check_pct)) {
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0], arg == "--help" || arg == "-h" ? 0 : 2);
     } else if (cmd == "flame" && a.file_a.empty()) {
