@@ -67,7 +67,7 @@ class LocBench : public ptstore::workloads::Workload {
         {"ptlint static verifier (CFG + abstract interpretation)",
          "C++ (no paper analogue)",
          0,
-         {"src/analysis/absval.h", "src/analysis/absval.cpp",
+         {"src/analysis/domain.h", "src/analysis/domain.cpp",
           "src/analysis/image.h", "src/analysis/image.cpp",
           "src/analysis/cfg.h", "src/analysis/cfg.cpp",
           "src/analysis/ptlint.h", "src/analysis/ptlint.cpp",

@@ -18,20 +18,20 @@ constexpr u8 kRegRa = 1;
 /// from one global interval fixpoint over the image. Registers only, with
 /// the caller-saved clobber across call-return edges: precision is needed
 /// only for the li/auipc-materialised function-pointer idiom.
-std::map<u64, AbsVal> resolve_jalr_targets(const Image& img, const Cfg& cfg,
+std::map<u64, Domain> resolve_jalr_targets(const Image& img, const Cfg& cfg,
                                            const std::set<u64>& roots) {
   Fixpoint<IntervalState> fix;
   for (const u64 r : roots) {
     if (cfg.block_at(r) != nullptr) fix.seed(r, IntervalState{.reached = true});
   }
-  std::map<u64, AbsVal> targets;
+  std::map<u64, Domain> targets;
   fix.run([&](u64 at, IntervalState st) {
     const BasicBlock* bb = cfg.block_at(at);
     if (bb == nullptr) return;
     for (u64 pc = bb->start; pc < bb->end; pc += 4) {
       const Inst in = img.inst_at(pc);
       if (in.op == Op::kJalr) {
-        const AbsVal t = AbsVal::add_imm(st.regs[in.rs1], in.imm);
+        const Domain t = add_imm(st.regs[in.rs1], in.imm);
         const auto [it, fresh] = targets.emplace(pc, t);
         if (!fresh) it->second = it->second.join(t);
       }
@@ -74,10 +74,10 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
   if (entries.empty()) return cg;
 
   // Discovery loop: entries grow as direct targets and resolved indirect
-  // targets surface; the CFG is rebuilt so new entries become leaders. The
-  // entry set only grows and the image is finite, so this terminates; the
-  // iteration cap is belt-and-braces for pathological images.
-  for (int iter = 0; iter < 16; ++iter) {
+  // targets surface; the CFG is rebuilt so new entries become leaders. It
+  // runs until the entry set is stable, which it must become: the set only
+  // grows and every entry lies inside the finite image.
+  while (true) {
     cg.fns_.clear();
     cg.by_entry_.clear();
     const std::vector<u64> roots(entries.begin(), entries.end());
@@ -91,7 +91,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
     }
     if (grew) continue;  // New direct-call entries: rebuild once more.
 
-    const std::map<u64, AbsVal> jalr_targets =
+    const std::map<u64, Domain> jalr_targets =
         resolve_jalr_targets(img, cg.cfg_, entries);
 
     // Partition blocks into functions and classify every call site.
@@ -148,8 +148,8 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
         }
         if (term.op == Op::kJalr) {
           auto it = jalr_targets.find(term_pc);
-          const AbsVal tgt =
-              it == jalr_targets.end() ? AbsVal::top() : it->second;
+          const Domain tgt =
+              it == jalr_targets.end() ? Domain::top() : it->second;
           const u64 exact = tgt.lo & ~u64{1};
           const bool is_ret = term.rd == 0 && term.rs1 == kRegRa;
           if (is_ret) continue;  // Conventional return: no successors.
@@ -157,7 +157,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
           cs.pc = term_pc;
           const bool tail = term.rd == 0;
           cs.tail = tail;
-          if (tgt.is_exact() && img.contains(exact)) {
+          if (tgt.is_singleton() && img.contains(exact)) {
             cs.targets.push_back(exact);
             cs.resolved = true;
             if (entries.insert(exact).second) grew = true;

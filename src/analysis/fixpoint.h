@@ -12,14 +12,16 @@
 // Widening: every join that changes a node counts, the join that first
 // reaches it included (a seed does not). From the (kWidenAfter+1)-th
 // counted join on, each register whose interval moved goes straight to ⊤,
-// so every loop converges. Flags and taint are not widened: they live in
-// finite lattices and stop changing on their own.
+// so every loop converges. A join that moves no interval but drops known
+// bits requeues the node without counting, so known bits never make a loop
+// widen earlier than its intervals do. Known bits, flags and taint are not
+// widened: they live in finite lattices and stop changing on their own.
 #pragma once
 
 #include <deque>
 #include <map>
 
-#include "analysis/absval.h"
+#include "analysis/domain.h"
 
 namespace ptstore::analysis {
 
@@ -58,12 +60,23 @@ class Fixpoint {
     const bool was_reached = slot.state.reached;
     const RegIntervals before = slot.state.regs;
     if (!slot.state.join_from(st)) return;
+    work_.push_back(at);
+    const auto moved = [&](unsigned r) {
+      const Domain& now = slot.state.regs[r];
+      return now.lo != before[r].lo || now.hi != before[r].hi;
+    };
+    bool any_moved = false, bits_dropped = false;
+    for (unsigned r = 1; r < 32; ++r) {
+      any_moved = any_moved || moved(r);
+      bits_dropped =
+          bits_dropped || slot.state.regs[r].kmask != before[r].kmask;
+    }
+    if (bits_dropped && !any_moved) return;  // Known bits alone: not counted.
     if (++slot.changes > kWidenAfter && was_reached) {
       for (unsigned r = 1; r < 32; ++r) {
-        if (slot.state.regs[r] != before[r]) slot.state.regs[r] = AbsVal::top();
+        if (moved(r)) slot.state.regs[r] = Domain::top();
       }
     }
-    work_.push_back(at);
   }
 
   /// Drain the worklist in FIFO order: `visit(at, entry_state)` per pop.

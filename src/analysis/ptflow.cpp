@@ -57,7 +57,7 @@ struct AccessInfo {
   bool is_load = false;
   bool is_store = false;
   bool pt = false;
-  AbsVal addr;
+  Domain addr;
   TaintSet value_taint = 0;  ///< Taint of the stored value (stores only).
 };
 
@@ -73,13 +73,13 @@ AccessInfo classify_access(const Inst& in, const FlowState& st) {
   if (in.is_load() || in.op == Op::kLdPt) {
     info.is_load = true;
     info.pt = in.op == Op::kLdPt;
-    info.addr = AbsVal::add_imm(st.regs[in.rs1], in.imm);
+    info.addr = add_imm(st.regs[in.rs1], in.imm);
     return info;
   }
   if (in.is_store() || in.op == Op::kSdPt) {
     info.is_store = true;
     info.pt = in.op == Op::kSdPt;
-    info.addr = AbsVal::add_imm(st.regs[in.rs1], in.imm);
+    info.addr = add_imm(st.regs[in.rs1], in.imm);
     info.value_taint = st.taint[in.rs2];
     return info;
   }
@@ -464,7 +464,7 @@ FlowSpec FlowSpec::for_backend(BackendKind k, u64 sr_base, u64 sr_end) {
   return s;
 }
 
-TaintSet FlowSpec::secret_taint(const AbsVal& addr) const {
+TaintSet FlowSpec::secret_taint(const Domain& addr) const {
   TaintSet t = 0;
   for (const SecretRange& r : secrets) {
     // ⊤ addresses are *not* tainted: an unconstrained pointer may read
@@ -476,7 +476,7 @@ TaintSet FlowSpec::secret_taint(const AbsVal& addr) const {
   return t;
 }
 
-bool FlowSpec::sanctioned_dest(const AbsVal& addr) const {
+bool FlowSpec::sanctioned_dest(const Domain& addr) const {
   if (cred_end > cred_base && addr.inside(cred_base, cred_end)) return true;
   for (const SecretRange& r : secrets) {
     if (addr.inside(r.base, r.end)) return true;

@@ -41,7 +41,7 @@ bool is_pmp_csr(u32 csr) {
 
 struct AccessInfo {
   bool is_access = false;
-  AbsVal addr;
+  Domain addr;
   bool pt = false;
   bool store = false;
 };
@@ -54,11 +54,11 @@ AccessInfo classify_access(const Inst& in, const RegState& st) {
   info.pt = in.is_pt_access();
   info.store = in.is_store() || in.is_amo() || in.op == Op::kSdPt;
   info.addr = in.is_amo() ? st.regs[in.rs1]
-                          : AbsVal::add_imm(st.regs[in.rs1], in.imm);
+                          : add_imm(st.regs[in.rs1], in.imm);
   return info;
 }
 
-AccessClass classify(const AbsVal& addr, const LintConfig& cfg) {
+AccessClass classify(const Domain& addr, const LintConfig& cfg) {
   if (addr.inside(cfg.sr_base, cfg.sr_end)) return AccessClass::kSecure;
   if (addr.outside(cfg.sr_base, cfg.sr_end)) return AccessClass::kNonSecure;
   return AccessClass::kUnknown;

@@ -1,7 +1,8 @@
 // ptlint: static verifier for PTStore's isolation invariants over guest
-// machine code. A forward abstract interpretation (interval domain,
-// analysis/absval.h) over the recovered CFG classifies every memory access
-// against the secure region and checks the paper's software-side rules:
+// machine code. A forward abstract interpretation (interval × known-bits
+// domain, analysis/domain.h) over the recovered CFG classifies every memory
+// access against the secure region and checks the paper's software-side
+// rules:
 //
 //   R1  Regular loads/stores/AMOs and instruction fetch must never target
 //       the secure region — only ld.pt/sd.pt may (paper §III-C1).
@@ -20,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/absval.h"
+#include "analysis/domain.h"
 #include "analysis/cfg.h"
 
 namespace ptstore::analysis {

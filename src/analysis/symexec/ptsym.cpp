@@ -162,7 +162,7 @@ std::vector<SymVerdict> symexec_flow(const Image& img, const FlowReport& rep,
         // The sanctioned home (e.g. the PCB credential field) sits outside
         // the secure region; exclude it concretely.
         goal.concrete_ok = [&spec](u64 ea, u64) {
-          return !spec.sanctioned_dest(AbsVal::exact(ea));
+          return !spec.sanctioned_dest(Domain::exact(ea));
         };
         break;
       case FlowDiagKind::kSecretToUser:

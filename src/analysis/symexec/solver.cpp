@@ -1,82 +1,13 @@
 #include "analysis/symexec/solver.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "common/bits.h"
 
 namespace ptstore::analysis::symexec {
 
-namespace {
-
 constexpr u64 kSignBit = u64{1} << 63;
-
-u64 bit_mask(unsigned n) { return n >= 64 ? ~u64{0} : (u64{1} << n) - 1; }
-
-unsigned msb_index(u64 v) {
-  unsigned i = 0;
-  while (v >>= 1) ++i;
-  return i;
-}
-
-/// Count of consecutive known bits starting at bit 0.
-unsigned trailing_known(u64 kmask) {
-  unsigned n = 0;
-  while (n < 64 && ((kmask >> n) & 1)) ++n;
-  return n;
-}
-
-/// A [lo,hi] interval maps to a contiguous interval under the 2^63 signed
-/// bias iff it does not straddle the sign boundary.
-bool sign_contiguous(const Domain& d) {
-  return (d.lo < kSignBit) == (d.hi < kSignBit);
-}
-
-}  // namespace
-
-void Domain::meet_interval(u64 nlo, u64 nhi) {
-  if (bottom) return;
-  lo = std::max(lo, nlo);
-  hi = std::min(hi, nhi);
-  if (lo > hi) bottom = true;
-}
-
-void Domain::meet_known(u64 nmask, u64 nval) {
-  if (bottom) return;
-  nval &= nmask;
-  const u64 both = kmask & nmask;
-  if ((kval & both) != (nval & both)) {
-    bottom = true;
-    return;
-  }
-  kmask |= nmask;
-  kval |= nval;
-}
-
-void Domain::meet(const Domain& other) {
-  if (other.bottom) {
-    bottom = true;
-    return;
-  }
-  meet_interval(other.lo, other.hi);
-  meet_known(other.kmask, other.kval);
-}
-
-void Domain::reduce() {
-  if (bottom) return;
-  for (int round = 0; round < 2 && !bottom; ++round) {
-    // Interval → known bits: the common high-order prefix of lo and hi is
-    // fixed for every value in [lo,hi].
-    if (lo == hi) {
-      meet_known(~u64{0}, lo);
-    } else {
-      const u64 diff = lo ^ hi;
-      const u64 prefix = ~bit_mask(msb_index(diff) + 1);
-      if (prefix) meet_known(prefix, lo & prefix);
-    }
-    if (bottom) return;
-    // Known bits → interval: every matching value lies in
-    // [kval, kval | ~kmask] (free bits all-0 / all-1).
-    meet_interval(kval, kval | ~kmask);
-  }
-}
 
 const char* solve_status_name(SolveStatus s) {
   switch (s) {
@@ -115,153 +46,37 @@ void Solver::note_support(ExprId node) {
 
 void Solver::forward(std::vector<Domain>& doms, ExprId id) {
   const ExprNode& n = arena_.node(id);
-  Domain r = Domain::top();
-  switch (n.op) {
-    case ExprOp::kConst:
-      r = Domain::exact(n.cval);
-      break;
-    case ExprOp::kInput:
-      return;  // inputs have no children; their domain comes from meets
-    case ExprOp::kSextW: {
-      const Domain& a = doms[n.a];
-      if (a.bottom) {
-        doms[id].bottom = true;
-        return;
-      }
-      if (a.is_singleton()) {
-        r = Domain::exact(
-            static_cast<u64>(static_cast<i64>(static_cast<i32>(a.lo))));
-      } else {
-        // Low 32 known bits survive; if bit 31 is known the top 32 bits are
-        // its copies.
-        r.meet_known(a.kmask & 0xFFFFFFFFu, a.kval & 0xFFFFFFFFu);
-        if (a.kmask & 0x80000000u) {
-          const u64 sign = (a.kval >> 31) & 1;
-          r.meet_known(~u64{0} << 31, sign ? (~u64{0} << 31) : 0);
-        }
-        if (a.hi < 0x80000000u) r.meet_interval(a.lo, a.hi);
-      }
-      break;
+  if (n.op == ExprOp::kInput) return;  // no children: meets set its domain
+  Domain r = Domain::exact(n.cval);
+  if (n.op != ExprOp::kConst) {
+    const Domain& a = doms[n.a];
+    const Domain& b = n.b == kNoExpr ? a : doms[n.b];
+    if (a.bottom || b.bottom) {
+      doms[id].bottom = true;  // An infeasible operand: the node is too.
+      return;
     }
-    default: {
-      const Domain& a = doms[n.a];
-      const Domain& b = doms[n.b];
-      if (a.bottom || b.bottom) {
-        doms[id].bottom = true;
-        return;
-      }
-      switch (n.op) {
-        case ExprOp::kAdd: {
-          if (a.hi <= ~u64{0} - b.hi) r.meet_interval(a.lo + b.lo, a.hi + b.hi);
-          const unsigned t =
-              std::min(trailing_known(a.kmask), trailing_known(b.kmask));
-          if (t > 0)
-            r.meet_known(bit_mask(t), (a.kval + b.kval) & bit_mask(t));
-          break;
-        }
-        case ExprOp::kSub: {
-          if (a.lo >= b.hi) r.meet_interval(a.lo - b.hi, a.hi - b.lo);
-          const unsigned t =
-              std::min(trailing_known(a.kmask), trailing_known(b.kmask));
-          if (t > 0)
-            r.meet_known(bit_mask(t), (a.kval - b.kval) & bit_mask(t));
-          break;
-        }
-        case ExprOp::kAnd: {
-          const u64 zero = (a.kmask & ~a.kval) | (b.kmask & ~b.kval);
-          const u64 one = (a.kmask & a.kval) & (b.kmask & b.kval);
-          r.meet_known(zero | one, one);
-          r.meet_interval(0, std::min(a.hi, b.hi));
-          break;
-        }
-        case ExprOp::kOr: {
-          const u64 one = (a.kmask & a.kval) | (b.kmask & b.kval);
-          const u64 zero = (a.kmask & ~a.kval) & (b.kmask & ~b.kval);
-          r.meet_known(zero | one, one);
-          const u64 top = a.hi | b.hi;
-          r.meet_interval(std::max(a.lo, b.lo),
-                          top ? bit_mask(msb_index(top) + 1) : 0);
-          break;
-        }
-        case ExprOp::kXor: {
-          const u64 both = a.kmask & b.kmask;
-          r.meet_known(both, (a.kval ^ b.kval) & both);
-          const u64 top = a.hi | b.hi;
-          r.meet_interval(0, top ? bit_mask(msb_index(top) + 1) : 0);
-          break;
-        }
-        case ExprOp::kShl:
-          if (b.is_singleton()) {
-            const unsigned s = static_cast<unsigned>(b.lo & 63);
-            r.meet_known((a.kmask << s) | bit_mask(s), a.kval << s);
-            if (a.hi <= (~u64{0} >> s))
-              r.meet_interval(a.lo << s, a.hi << s);
-          }
-          break;
-        case ExprOp::kShrl:
-          if (b.is_singleton()) {
-            const unsigned s = static_cast<unsigned>(b.lo & 63);
-            r.meet_known((a.kmask >> s) | ~(~u64{0} >> s), a.kval >> s);
-            r.meet_interval(a.lo >> s, a.hi >> s);
-          }
-          break;
-        case ExprOp::kShra:
-          if (b.is_singleton()) {
-            const unsigned s = static_cast<unsigned>(b.lo & 63);
-            if (a.hi < kSignBit) {
-              // Provably non-negative: behaves like a logical shift.
-              r.meet_known((a.kmask >> s) | ~(~u64{0} >> s), a.kval >> s);
-              r.meet_interval(a.lo >> s, a.hi >> s);
-            } else if (a.kmask & kSignBit) {
-              const u64 sign = (a.kval >> 63) & 1;
-              const u64 ext = sign ? ~(~u64{0} >> s) : 0;
-              r.meet_known((a.kmask >> s) | ~(~u64{0} >> s),
-                           (a.kval >> s) | ext);
-            }
-          }
-          break;
-        case ExprOp::kMul:
-          if (a.is_singleton() && b.is_singleton())
-            r = Domain::exact(a.lo * b.lo);
-          else if (b.is_singleton() && b.lo != 0 && a.hi <= ~u64{0} / b.lo)
-            r.meet_interval(a.lo * b.lo, a.hi * b.lo);
-          else if (a.is_singleton() && a.lo != 0 && b.hi <= ~u64{0} / a.lo)
-            r.meet_interval(a.lo * b.lo, a.lo * b.hi);
-          break;
-        case ExprOp::kEq:
-          r.meet_interval(0, 1);
-          if (a.hi < b.lo || b.hi < a.lo)
-            r.meet_interval(0, 0);  // disjoint: never equal
-          else if (a.is_singleton() && b.is_singleton() && a.lo == b.lo)
-            r.meet_interval(1, 1);
-          break;
-        case ExprOp::kNe:
-          r.meet_interval(0, 1);
-          if (a.hi < b.lo || b.hi < a.lo)
-            r.meet_interval(1, 1);
-          else if (a.is_singleton() && b.is_singleton() && a.lo == b.lo)
-            r.meet_interval(0, 0);
-          break;
-        case ExprOp::kLtu:
-          r.meet_interval(0, 1);
-          if (a.hi < b.lo) r.meet_interval(1, 1);
-          else if (a.lo >= b.hi) r.meet_interval(0, 0);
-          break;
-        case ExprOp::kLts:
-          r.meet_interval(0, 1);
-          if (sign_contiguous(a) && sign_contiguous(b)) {
-            const u64 alo = a.lo ^ kSignBit, ahi = a.hi ^ kSignBit;
-            const u64 blo = b.lo ^ kSignBit, bhi = b.hi ^ kSignBit;
-            if (ahi < blo) r.meet_interval(1, 1);
-            else if (alo >= bhi) r.meet_interval(0, 0);
-          }
-          break;
-        default:
-          break;
-      }
+    // Shifts are modelled by a pinned amount (its low 6 bits, as RV64).
+    const bool pinned = b.is_singleton();
+    const unsigned s = static_cast<unsigned>(b.lo & 63);
+    r = Domain::top();
+    switch (n.op) {
+      case ExprOp::kAdd: r = add(a, b); break;
+      case ExprOp::kSub: r = sub(a, b); break;
+      case ExprOp::kAnd: r = bit_and(a, b); break;
+      case ExprOp::kOr: r = bit_or(a, b); break;
+      case ExprOp::kXor: r = bit_xor(a, b); break;
+      case ExprOp::kShl: if (pinned) r = shl(a, s); break;
+      case ExprOp::kShrl: if (pinned) r = srl(a, s); break;
+      case ExprOp::kShra: if (pinned) r = sra(a, s); break;
+      case ExprOp::kMul: r = mul(a, b); break;
+      case ExprOp::kEq: r = cmp_eq(a, b); break;
+      case ExprOp::kNe: r = cmp_ne(a, b); break;
+      case ExprOp::kLtu: r = cmp_ltu(a, b); break;
+      case ExprOp::kLts: r = cmp_lts(a, b); break;
+      case ExprOp::kSextW: r = sext_w(a); break;
+      default: break;
     }
   }
-  r.reduce();
   doms[id].meet(r);
   doms[id].reduce();
 }
@@ -278,11 +93,11 @@ void Solver::backward(std::vector<Domain>& doms, ExprId id) {
     const u64 x = add ? r.lo + delta : r.lo - delta;
     const u64 y = add ? r.hi + delta : r.hi - delta;
     if (x <= y) doms[child].meet_interval(x, y);
-    const unsigned t = trailing_known(r.kmask);
+    const unsigned t = static_cast<unsigned>(std::countr_one(r.kmask));
     if (t > 0)
-      doms[child].meet_known(bit_mask(t),
+      doms[child].meet_known(mask_lo(t),
                              (add ? r.kval + delta : r.kval - delta) &
-                                 bit_mask(t));
+                                 mask_lo(t));
     doms[child].reduce();
   };
 
@@ -346,11 +161,11 @@ void Solver::backward(std::vector<Domain>& doms, ExprId id) {
     case ExprOp::kShl:
       if (doms[n.b].is_singleton()) {
         const unsigned s = static_cast<unsigned>(doms[n.b].lo & 63);
-        if (r.kmask & r.kval & bit_mask(s)) {
+        if (r.kmask & r.kval & mask_lo(s)) {
           doms[n.a].bottom = true;  // low bits of a left shift must be zero
           break;
         }
-        doms[n.a].meet_known(bit_mask(64 - s) & (r.kmask >> s), r.kval >> s);
+        doms[n.a].meet_known(mask_lo(64 - s) & (r.kmask >> s), r.kval >> s);
         doms[n.a].reduce();
       }
       break;
@@ -363,7 +178,7 @@ void Solver::backward(std::vector<Domain>& doms, ExprId id) {
         }
         doms[n.a].meet_known(r.kmask << s, r.kval << s);
         if (r.hi <= (~u64{0} >> s))
-          doms[n.a].meet_interval(r.lo << s, (r.hi << s) | bit_mask(s));
+          doms[n.a].meet_interval(r.lo << s, (r.hi << s) | mask_lo(s));
         doms[n.a].reduce();
       }
       break;
@@ -408,7 +223,7 @@ void Solver::backward(std::vector<Domain>& doms, ExprId id) {
       Domain a = doms[n.a];
       Domain b = doms[n.b];
       if (biased) {
-        if (!sign_contiguous(a) || !sign_contiguous(b)) break;
+        if (!a.sign_contiguous() || !b.sign_contiguous()) break;
         a.lo ^= kSignBit;
         a.hi ^= kSignBit;
         b.lo ^= kSignBit;

@@ -1,10 +1,10 @@
 // Dependency-free constraint solver for ptsym witness queries. No external
-// SMT: every expression node carries a *reduced product* of two abstract
-// domains — an unsigned interval [lo,hi] and known-bits (kmask,kval) — and
-// solving is propagate + split:
+// SMT: every expression node carries an analysis Domain (analysis/domain.h,
+// the interval × known-bits product the static analyses share), and solving
+// is propagate + split:
 //
-//   1. Forward pass (children → parents) runs the abstract transfer of each
-//      operator; constraint domains are met into their nodes.
+//   1. Forward pass (children → parents) runs each operator's shared
+//      Domain transfer; constraint domains are met into their nodes.
 //   2. Backward pass (parents → children) inverts the operators that are
 //      invertible enough to matter for kernel address arithmetic: add/sub
 //      with a pinned operand, and/or/xor/shifts by constants, compares
@@ -28,42 +28,10 @@
 #include <functional>
 #include <vector>
 
+#include "analysis/domain.h"
 #include "analysis/symexec/expr.h"
 
 namespace ptstore::analysis::symexec {
-
-struct Domain {
-  u64 lo = 0;
-  u64 hi = ~u64{0};
-  u64 kmask = 0;  // bit set => bit of the value is known
-  u64 kval = 0;   // known bit values (subset of kmask)
-  bool bottom = false;
-
-  static Domain top() { return Domain{}; }
-  static Domain exact(u64 v) { return Domain{v, v, ~u64{0}, v, false}; }
-  static Domain range(u64 lo, u64 hi) {
-    Domain d;
-    d.lo = lo;
-    d.hi = hi;
-    d.bottom = lo > hi;
-    return d;
-  }
-
-  bool is_singleton() const { return !bottom && lo == hi; }
-  bool contains(u64 v) const {
-    return !bottom && v >= lo && v <= hi && (v & kmask) == kval;
-  }
-  /// Meet with another interval; may go bottom.
-  void meet_interval(u64 nlo, u64 nhi);
-  /// Meet with known bits; conflicting known bits go bottom.
-  void meet_known(u64 nmask, u64 nval);
-  void meet(const Domain& other);
-  /// Re-establish the reduced product: interval common-prefix bits become
-  /// known bits, and the known-bits envelope [kval, kval|~kmask] clamps the
-  /// interval. Sound both ways: no value passing contains() before
-  /// reduce() is excluded after.
-  void reduce();
-};
 
 enum class SolveStatus : u8 {
   kSat,     // assignment found and concretely validated

@@ -16,7 +16,7 @@
 
 #include <string>
 
-#include "analysis/absval.h"
+#include "analysis/domain.h"
 
 namespace ptstore::analysis {
 

@@ -1,8 +1,9 @@
 // Forward-fixpoint engine tests: the widening join counts only joins that
 // change a node (the reaching one included), moving registers go to ⊤ after
-// kWidenAfter of them while steady ones keep their interval, unreached
-// states never enter the worklist, and a function pointer materialised
-// before a widening loop still resolves through the call graph.
+// kWidenAfter of them while steady ones keep their interval, a join that
+// only drops known bits requeues without counting, unreached states never
+// enter the worklist, and a function pointer materialised before a widening
+// loop still resolves through the call graph.
 #include "analysis/fixpoint.h"
 
 #include <gtest/gtest.h>
@@ -24,8 +25,8 @@ constexpr unsigned kS2 = 18;
 
 IntervalState with_t0(u64 v) {
   IntervalState st{.reached = true};
-  st.regs[kT0] = AbsVal::exact(v);
-  st.regs[kS2] = AbsVal::exact(0x1000);
+  st.regs[kT0] = Domain::exact(v);
+  st.regs[kS2] = Domain::exact(0x1000);
   return st;
 }
 
@@ -36,25 +37,26 @@ TEST(Fixpoint, LoopWidensAfterKWidenAfterChangingJoins) {
   // t0 to ⊤; s2 never moves and keeps its exact value.
   Fixpoint<IntervalState> fix;
   fix.seed(0, with_t0(0));
-  std::vector<AbsVal> t0_at_loop;
+  std::vector<Domain> t0_at_loop;
   fix.run([&](u64 at, IntervalState st) {
     if (at == 0) {
       fix.join(1, st);
       return;
     }
     t0_at_loop.push_back(st.regs[kT0]);
-    st.regs[kT0] = AbsVal::add_imm(st.regs[kT0], 8);
+    st.regs[kT0] = add_imm(st.regs[kT0], 8);
     fix.join(1, st);
   });
 
   ASSERT_EQ(t0_at_loop.size(), static_cast<size_t>(kWidenAfter + 1));
   for (int k = 0; k < kWidenAfter; ++k) {
-    EXPECT_EQ(t0_at_loop[k], AbsVal::range(0, 8 * static_cast<u64>(k)));
+    EXPECT_EQ(t0_at_loop[k].describe(),
+              Domain::range(0, 8 * static_cast<u64>(k)).describe());
   }
   EXPECT_TRUE(t0_at_loop.back().is_top());
   ASSERT_NE(fix.state(1), nullptr);
   EXPECT_TRUE(fix.state(1)->regs[kT0].is_top());
-  EXPECT_EQ(fix.state(1)->regs[kS2], AbsVal::exact(0x1000));
+  EXPECT_EQ(fix.state(1)->regs[kS2], Domain::exact(0x1000));
 }
 
 TEST(Fixpoint, JoinsThatChangeNothingDoNotCount) {
@@ -66,16 +68,43 @@ TEST(Fixpoint, JoinsThatChangeNothingDoNotCount) {
     for (int rep = 0; rep < 2 * kWidenAfter; ++rep) fix.join(7, with_t0(0));
   }
   const u64 hull = 8 * static_cast<u64>(kWidenAfter - 1);
-  EXPECT_EQ(fix.state(7)->regs[kT0], AbsVal::range(0, hull));
+  EXPECT_EQ(fix.state(7)->regs[kT0].describe(),
+            Domain::range(0, hull).describe());
 
   fix.join(7, with_t0(hull + 8));  // The first join past kWidenAfter.
   EXPECT_TRUE(fix.state(7)->regs[kT0].is_top());
-  EXPECT_EQ(fix.state(7)->regs[kS2], AbsVal::exact(0x1000));
+  EXPECT_EQ(fix.state(7)->regs[kS2], Domain::exact(0x1000));
 
   // Only the kWidenAfter + 1 changing joins queued the node.
   int visits = 0;
   fix.run([&](u64, const IntervalState&) { ++visits; });
   EXPECT_EQ(visits, kWidenAfter + 1);
+}
+
+TEST(Fixpoint, JoinsThatOnlyDropKnownBitsDoNotCount) {
+  // [0, 64] knows bits 0..5 are zero. Joining 32, 16, ..., 1 keeps the
+  // interval but drops one of those bits each time: the node is requeued
+  // (successors must see the weaker state) but the loop must not widen any
+  // earlier than the intervals alone would make it.
+  Fixpoint<IntervalState> fix;
+  fix.join(7, with_t0(0));   // Reaches node 7: counted join 1.
+  fix.join(7, with_t0(64));  // Counted join 2.
+  int queued = 2;
+  for (u64 bit = 32; bit != 0; bit >>= 1, ++queued) fix.join(7, with_t0(bit));
+  EXPECT_EQ(fix.state(7)->regs[kT0].describe(), "[0x0, 0x40]");
+  EXPECT_EQ(fix.state(7)->regs[kT0].kmask & 63, 0u);
+
+  for (int k = 2; k < kWidenAfter; ++k, ++queued) {
+    fix.join(7, with_t0(64 * static_cast<u64>(k)));  // Counted joins 3..4.
+  }
+  EXPECT_FALSE(fix.state(7)->regs[kT0].is_top());
+  fix.join(7, with_t0(64 * static_cast<u64>(kWidenAfter)));
+  ++queued;
+  EXPECT_TRUE(fix.state(7)->regs[kT0].is_top());
+
+  int visits = 0;
+  fix.run([&](u64, const IntervalState&) { ++visits; });
+  EXPECT_EQ(visits, queued);
 }
 
 TEST(Fixpoint, UnreachedSeedIsIgnored) {

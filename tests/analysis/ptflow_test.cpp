@@ -92,16 +92,16 @@ TEST(FlowSpec, BackendSheetsMirrorTheAnnotations) {
 
 TEST(FlowSpec, SecretTaintAndSanctionedDest) {
   const FlowSpec s = FlowSpec::for_backend(BackendKind::kPtauth, kSr, kSrEnd);
-  EXPECT_EQ(s.secret_taint(AbsVal::exact(kMacKey)), kTaintMacKey);
-  EXPECT_EQ(s.secret_taint(AbsVal::exact(kPcb + 8)), kTaintCredential);
-  EXPECT_EQ(s.secret_taint(AbsVal::exact(kScratch)), TaintSet{0});
+  EXPECT_EQ(s.secret_taint(Domain::exact(kMacKey)), kTaintMacKey);
+  EXPECT_EQ(s.secret_taint(Domain::exact(kPcb + 8)), kTaintCredential);
+  EXPECT_EQ(s.secret_taint(Domain::exact(kScratch)), TaintSet{0});
   // Top pointers are not taint sources (imprecision stays a note, not a
   // universal secret).
-  EXPECT_EQ(s.secret_taint(AbsVal::top()), TaintSet{0});
-  EXPECT_TRUE(s.sanctioned_dest(AbsVal::exact(kPcb)));
-  EXPECT_TRUE(s.sanctioned_dest(AbsVal::exact(kMacKey)));
-  EXPECT_FALSE(s.sanctioned_dest(AbsVal::exact(kScratch)));
-  EXPECT_FALSE(s.sanctioned_dest(AbsVal::top()));
+  EXPECT_EQ(s.secret_taint(Domain::top()), TaintSet{0});
+  EXPECT_TRUE(s.sanctioned_dest(Domain::exact(kPcb)));
+  EXPECT_TRUE(s.sanctioned_dest(Domain::exact(kMacKey)));
+  EXPECT_FALSE(s.sanctioned_dest(Domain::exact(kScratch)));
+  EXPECT_FALSE(s.sanctioned_dest(Domain::top()));
 }
 
 // ---- T rules --------------------------------------------------------------
@@ -401,6 +401,47 @@ TEST(Flow, SummariesRunToStabilityAroundALongRecursionRing) {
 
   const FlowReport rep =
       flow_verify(img, FlowSpec::for_backend(BackendKind::kPtstore, kSr, kSrEnd));
+  EXPECT_EQ(rep.violation_count(), 1u) << rep.format();
+  EXPECT_TRUE(has_kind(rep, FlowDiagKind::kSecretEscapes)) << rep.format();
+}
+
+TEST(Flow, DiscoveryRunsToStabilityAlongALongIndirectChain) {
+  // entry calls f0, and each f_i calls f_{i+1} through `li t0, f; jalr`:
+  // every link exposes one more function only after the previous one is
+  // resolved, so discovery needs one round per link. f19 loads the token
+  // and stores it below the secure region. Functions sit on a fixed
+  // 128-byte stride so each li operand is known before layout.
+  constexpr int kChain = 20;
+  constexpr u64 kStride = 128;
+  const auto fn = [](int i) {
+    return kBase + kStride * static_cast<u64>(i + 1);
+  };
+  const Image img = image_of([&](Assembler& a, std::vector<Symbol>& sy) {
+    for (int i = -1; i < kChain; ++i) {
+      if (i >= 0) sy.push_back({"f" + std::to_string(i), a.pc()});
+      if (i + 1 < kChain) {
+        a.li(Reg::kT0, fn(i + 1));
+        a.jalr(Reg::kRa, Reg::kT0, 0);
+      } else {
+        a.li(Reg::kT0, kToken);
+        a.ld_pt(Reg::kA0, Reg::kT0, 0);
+        a.li(Reg::kT1, kScratch);
+        a.sd(Reg::kA0, Reg::kT1, 0);
+      }
+      if (i < 0) {
+        a.ebreak();
+      } else {
+        a.ret();
+      }
+      ASSERT_LE(a.pc(), fn(i + 1));
+      while (a.pc() < fn(i + 1)) a.nop();
+    }
+  });
+
+  const FlowReport rep = flow_verify(
+      img, FlowSpec::for_backend(BackendKind::kPtstore, kSr, kSrEnd));
+  EXPECT_EQ(rep.function_count, static_cast<size_t>(kChain + 1));
+  EXPECT_EQ(rep.unresolved_calls, 0u);
   EXPECT_EQ(rep.violation_count(), 1u) << rep.format();
   EXPECT_TRUE(has_kind(rep, FlowDiagKind::kSecretEscapes)) << rep.format();
 }
