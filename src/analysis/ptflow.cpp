@@ -139,8 +139,9 @@ class FlowVerifier {
   // ---- the intra-procedural pass ----
 
   /// Analyze one function from `entry_state`. In check mode diags are
-  /// emitted; context propagations to callees are recorded in `ctx_out`
-  /// when non-null. Returns the function's exit accumulator.
+  /// emitted once the fixpoint is reached, block by block from its final
+  /// entry states; context propagations to callees are recorded in
+  /// `ctx_out` when non-null. Returns the function's exit accumulator.
   ExitAcc analyze(const Function& fn, const FlowState& entry_state,
                   bool check_mode,
                   std::map<u64, FlowState>* ctx_out) {
@@ -156,53 +157,73 @@ class FlowVerifier {
     fix.seed(fn.entry, seed);
 
     fix.run([&](u64 at, FlowState st) {
-      const BasicBlock* bb = cg_.cfg().block_at(at);
-      if (bb == nullptr || owned.count(at) == 0) return;
-
-      for (u64 pc = bb->start; pc < bb->end; pc += 4) {
-        const Inst in = img_.inst_at(pc);
-        const AccessInfo acc = classify_access(in, st);
-
-        if (acc.is_store) {
-          if (check_mode) check_store(pc, acc, st);
-          // M2 bookkeeping: a store provably confined to the credential
-          // home commits the credential.
-          if (spec_.cred_end > spec_.cred_base &&
-              acc.addr.inside(spec_.cred_base, spec_.cred_end)) {
-            st.cred_written = true;
-          }
-        }
-        if (check_mode && writes_csr(in) &&
-            (static_cast<u32>(in.imm) & 0xFFF) == isa::csr::kSatp) {
-          if (spec_.m2 && summaries_[fn.entry].under_m2 && !st.cred_written) {
-            diag(FlowDiagKind::kCredAfterWalkable, Severity::kViolation, pc,
-                 "root becomes walkable before the credential is written "
-                 "(bind path writes satp first)");
-          }
-        }
-
-        st.step(pc, in);
-        if (acc.is_load && in.rd != 0) {
-          // Re-taint the loaded value from the spec's secret sources.
-          st.taint[in.rd] = spec_.secret_taint(acc.addr);
-        }
-      }
-
-      const u64 term_pc = bb->end - 4;
-      const Inst term = img_.inst_at(term_pc);
-      const CallSite* cs = fn.call_at(term_pc);
-
-      if (cs != nullptr) {
-        handle_call(*cs, term_pc, st, check_mode, ctx_out, &exits, propagate);
-        return;
-      }
-      if (term.op == Op::kJalr && term.rd == 0 && term.rs1 == kRegRa) {
-        exits.add(st.mediated, st.cred_written, st.taint[10], st.taint[11]);
-        return;
-      }
-      for (const Edge& e : bb->succs) propagate(e.to, st);
+      if (owned.count(at) != 0)
+        interpret(fn, at, std::move(st), /*check_mode=*/false, ctx_out,
+                  &exits, propagate);
     });
+    if (check_mode) {
+      ExitAcc unused;
+      for (const u64 at : fn.blocks) {
+        if (const FlowState* st = fix.state(at))
+          interpret(fn, at, *st, /*check_mode=*/true, nullptr, &unused,
+                    [](u64, const FlowState&) {});
+      }
+    }
     return exits;
+  }
+
+  /// Interpret block `at` of `fn` from entry state `st`: its exits go to
+  /// `exits`, its successors' entry states to `propagate`. In check mode it
+  /// also emits the block's diagnostics.
+  template <typename Propagate>
+  void interpret(const Function& fn, u64 at, FlowState st, bool check_mode,
+                 std::map<u64, FlowState>* ctx_out, ExitAcc* exits,
+                 const Propagate& propagate) {
+    const BasicBlock* bb = cg_.cfg().block_at(at);
+    if (bb == nullptr) return;
+
+    for (u64 pc = bb->start; pc < bb->end; pc += 4) {
+      const Inst in = img_.inst_at(pc);
+      const AccessInfo acc = classify_access(in, st);
+
+      if (acc.is_store) {
+        if (check_mode) check_store(pc, acc, st);
+        // M2 bookkeeping: a store provably confined to the credential
+        // home commits the credential.
+        if (spec_.cred_end > spec_.cred_base &&
+            acc.addr.inside(spec_.cred_base, spec_.cred_end)) {
+          st.cred_written = true;
+        }
+      }
+      if (check_mode && writes_csr(in) &&
+          (static_cast<u32>(in.imm) & 0xFFF) == isa::csr::kSatp) {
+        if (spec_.m2 && summaries_[fn.entry].under_m2 && !st.cred_written) {
+          diag(FlowDiagKind::kCredAfterWalkable, Severity::kViolation, pc,
+               "root becomes walkable before the credential is written "
+               "(bind path writes satp first)");
+        }
+      }
+
+      st.step(pc, in);
+      if (acc.is_load && in.rd != 0) {
+        // Re-taint the loaded value from the spec's secret sources.
+        st.taint[in.rd] = spec_.secret_taint(acc.addr);
+      }
+    }
+
+    const u64 term_pc = bb->end - 4;
+    const Inst term = img_.inst_at(term_pc);
+    const CallSite* cs = fn.call_at(term_pc);
+
+    if (cs != nullptr) {
+      handle_call(*cs, term_pc, st, check_mode, ctx_out, exits, propagate);
+      return;
+    }
+    if (term.op == Op::kJalr && term.rd == 0 && term.rs1 == kRegRa) {
+      exits->add(st.mediated, st.cred_written, st.taint[10], st.taint[11]);
+      return;
+    }
+    for (const Edge& e : bb->succs) propagate(e.to, st);
   }
 
   template <typename Propagate>

@@ -1,8 +1,14 @@
 #include "analysis/ptmc.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <chrono>
+#include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <thread>
 
 #include "telemetry/json.h"
 
@@ -603,8 +609,8 @@ std::optional<Successor> apply(const State& s, const Op& op,
 
 namespace {
 
-/// Every visited state, in insertion order — which is BFS order, so the
-/// search's queue is just a head index into it. Per state: the packed key,
+/// Every visited state, in insertion order — which is BFS order, so each
+/// BFS level is a range of ids. Per state: the packed key,
 /// the id of the state it was first reached from, and the alphabet index of
 /// that op (a u8: the SMP alphabet has 51 ops). Dedup is an open-addressed,
 /// linear-probing table of ids, doubled once it is half full.
@@ -616,7 +622,7 @@ class StateLog {
   StateLog() : slots_(1024, kEmpty) {}
 
   u64 size() const { return keys_.size(); }
-  u64 key(u32 id) const { return keys_[id]; }
+  u64 key(u64 id) const { return keys_[id]; }
   u32 parent(u32 id) const { return parent_[id]; }
   u8 op(u32 id) const { return op_[id]; }
 
@@ -641,14 +647,14 @@ class StateLog {
     if (id != kEmpty) __builtin_prefetch(&keys_[id]);
   }
 
-  /// The slot holding `key`'s id, or the empty slot where it would go.
-  u32& probe(u64 key, u64 hash) {
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const u32 id = slots_[i];
-      if (id == kEmpty || keys_[id] == key) return slots_[i];
-    }
+  /// Whether `key` is visited. Only reads, so any number of threads may ask
+  /// while no add() runs.
+  bool contains(u64 key, u64 hash) const {
+    return slots_[find(key, hash)] != kEmpty;
   }
+
+  /// The slot holding `key`'s id, or the empty slot where it would go.
+  u32& probe(u64 key, u64 hash) { return slots_[find(key, hash)]; }
 
   /// Appends `key` as a new state, its id written into `slot` (an empty
   /// slot probe(key) returned, with no add() in between).
@@ -661,6 +667,14 @@ class StateLog {
   }
 
  private:
+  size_t find(u64 key, u64 hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const u32 id = slots_[i];
+      if (id == kEmpty || keys_[id] == key) return i;
+    }
+  }
+
   void rehash(size_t capacity) {
     slots_.assign(capacity, kEmpty);
     for (u32 id = 0; id < keys_.size(); ++id)
@@ -704,19 +718,232 @@ Counterexample rebuild_counterexample(unsigned prop_idx,
   return ce;
 }
 
+/// One successor of an expanded state. `ordinal` is its position among
+/// that state's successors, which come in alphabet order.
+struct Pending {
+  u64 key;
+  u8 op;
+  u8 violations;
+  u8 ordinal;
+};
+
+/// Largest alphabet the search takes (op and ordinal are u8s; the SMP
+/// alphabet has 51 ops).
+constexpr size_t kMaxAlphabet = 64;
+
+/// Applies the whole alphabet to `s`, writing its successors to `out` and
+/// their hashes to `hash`, and prefetches each one's table slot. Returns
+/// how many there are.
+u32 successors(const State& s, const std::vector<Op>& alphabet,
+               const ModelConfig& cfg, const StateLog& log, Pending* out,
+               u64* hash) {
+  u32 n = 0;
+  for (size_t o = 0; o < alphabet.size(); ++o) {
+    const auto suc = apply(s, alphabet[o], cfg);
+    if (!suc) continue;
+    const u64 key = suc->next.pack();
+    hash[n] = StateLog::hash(key);
+    log.prefetch_slot(hash[n]);
+    out[n] = {key, static_cast<u8>(o), suc->violations, static_cast<u8>(n)};
+    ++n;
+  }
+  return n;
+}
+
+/// States per chunk, the unit of work a worker claims.
+constexpr u64 kChunkStates = 256;
+/// Chunks in one window, per worker.
+constexpr unsigned kChunksPerWorker = 4;
+/// Levels with fewer states are expanded on the calling thread alone.
+constexpr u64 kParallelMinStates = 1024;
+/// The search never runs more workers than this.
+constexpr unsigned kMaxWorkers = 64;
+/// Slots in a worker's set of the successors it kept from its chunk.
+constexpr size_t kSeenSlots = 4096;
+constexpr u64 kNoKey = ~u64{0};  // Packed keys are 58 bits wide.
+
+/// One expanded chunk: per state, its successor count and how many of them
+/// survived the filters; then all survivors, state after state.
+struct Chunk {
+  u64 states = 0;
+  u64 survivors = 0;
+  std::unique_ptr<Pending[]> out;  ///< kChunkStates × alphabet size.
+  u8 nsucc[kChunkStates];
+  u8 kept[kChunkStates];
+};
+
+/// Adds `key` to a chunk-local set; false if it was there already. Once the
+/// set is half full it adds nothing more and answers true.
+bool first_sighting(u64* seen, size_t& fill, u64 key, u64 hash) {
+  constexpr size_t mask = kSeenSlots - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    if (seen[i] == key) return false;
+    if (seen[i] == kNoKey) {
+      if (fill * 2 < kSeenSlots) {
+        seen[i] = key;
+        ++fill;
+      }
+      return true;
+    }
+  }
+}
+
+/// Expands the chunk's states, ids `first` onwards, using `seen` (kSeenSlots
+/// keys) as scratch. A successor that violates nothing is dropped when it is
+/// already in `log` or already kept from this chunk: the merge would find it
+/// visited too, since nothing leaves the table, so only its count matters.
+void expand_chunk(const StateLog& log, const std::vector<Op>& alphabet,
+                  const ModelConfig& cfg, u64 first, Chunk& c, u64* seen) {
+  std::fill_n(seen, kSeenSlots, kNoKey);
+  size_t fill = 0;
+  Pending batch[kMaxAlphabet];
+  u64 hash[kMaxAlphabet];
+  Pending* out = c.out.get();
+  for (u64 j = 0; j < c.states; ++j) {
+    const u32 n = successors(State::unpack(log.key(first + j)), alphabet, cfg,
+                             log, batch, hash);
+    for (u32 i = 0; i < n; ++i) log.prefetch_key(hash[i]);
+    u32 kept = 0;
+    for (u32 i = 0; i < n; ++i) {
+      if (batch[i].violations == 0 &&
+          (log.contains(batch[i].key, hash[i]) ||
+           !first_sighting(seen, fill, batch[i].key, hash[i])))
+        continue;
+      out[kept++] = batch[i];
+    }
+    c.nsucc[j] = static_cast<u8>(n);
+    c.kept[j] = static_cast<u8>(kept);
+    out += kept;
+  }
+  c.survivors = static_cast<u64>(out - c.out.get());
+}
+
+/// The threads of one check() call that expand a BFS level a window at a
+/// time: workers - 1 started here, plus the calling thread. The caller
+/// publishes a window, claims chunks beside the workers, and waits only for
+/// the chunks in flight, never for a worker to wake: under load the caller
+/// expands what the others do not reach. Nothing writes the log while a
+/// window is out, so the workers read its keys and probe its table in
+/// place; the caller merges once the window is back.
+class Pool {
+ public:
+  Pool(const StateLog& log, const std::vector<Op>& alphabet,
+       const ModelConfig& cfg, unsigned workers)
+      : log_(log),
+        alphabet_(alphabet),
+        cfg_(cfg),
+        chunks_(workers * kChunksPerWorker),
+        seen_(std::make_unique_for_overwrite<u64[]>(workers * kSeenSlots)) {
+    // Every buffer is allocated here, on the calling thread, and only the
+    // part a chunk writes is ever touched: workers allocate nothing.
+    for (Chunk& c : chunks_)
+      c.out = std::make_unique_for_overwrite<Pending[]>(kChunkStates *
+                                                        alphabet.size());
+    threads_.reserve(workers - 1);
+    for (unsigned i = 1; i < workers; ++i) {
+      try {
+        threads_.emplace_back([this, i] { serve(i); });
+      } catch (const std::exception&) {
+        break;  // Carry on with the threads that started.
+      }
+    }
+  }
+
+  ~Pool() {
+    stop_.store(true, std::memory_order_relaxed);
+    gen_.fetch_add(1, std::memory_order_release);
+    gen_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  unsigned workers() const { return static_cast<unsigned>(threads_.size()) + 1; }
+  u64 window_states() const { return chunks_.size() * kChunkStates; }
+
+  /// Expands ids [first, end), at most window_states() of them, and
+  /// returns their chunks in id order.
+  std::span<const Chunk> expand(u64 first, u64 end) {
+    const u64 n = (end - first + kChunkStates - 1) / kChunkStates;
+    first_ = first;
+    for (u64 i = 0; i < n; ++i)
+      chunks_[i].states = std::min(kChunkStates, end - first - i * kChunkStates);
+    done_.store(0, std::memory_order_relaxed);
+    ticket_.store(n << 32, std::memory_order_release);
+    gen_.fetch_add(1, std::memory_order_release);
+    gen_.notify_all();
+    claim(0);
+    for (u64 d; (d = done_.load(std::memory_order_acquire)) != n;)
+      done_.wait(d, std::memory_order_acquire);
+    return {chunks_.data(), n};
+  }
+
+ private:
+  void serve(unsigned worker) {
+    for (;;) {
+      const u32 gen = gen_.load(std::memory_order_acquire);
+      if (stop_.load(std::memory_order_relaxed)) return;
+      claim(worker);
+      gen_.wait(gen, std::memory_order_acquire);
+    }
+  }
+
+  /// Expands unclaimed chunks of the published window until none is left.
+  /// A ticket is the window's chunk count (high half) and the next chunk
+  /// index (low half); the acquire on it makes the window's first_ and
+  /// chunk sizes, and the log the caller last merged, visible.
+  void claim(unsigned worker) {
+    u64* seen = seen_.get() + worker * kSeenSlots;
+    for (;;) {
+      const u64 t = ticket_.fetch_add(1, std::memory_order_acq_rel);
+      const u64 n = t >> 32;
+      const u64 i = t & 0xFFFF'FFFFu;
+      if (i >= n) return;
+      expand_chunk(log_, alphabet_, cfg_, first_ + i * kChunkStates,
+                   chunks_[i], seen);
+      if (done_.fetch_add(1, std::memory_order_release) + 1 == n)
+        done_.notify_one();
+    }
+  }
+
+  const StateLog& log_;
+  const std::vector<Op>& alphabet_;
+  const ModelConfig& cfg_;
+  std::vector<Chunk> chunks_;
+  std::unique_ptr<u64[]> seen_;  ///< kSeenSlots per worker.
+  u64 first_ = 0;                ///< First id of the published window.
+  std::atomic<u64> ticket_{0};   ///< Chunk count << 32 | next chunk index.
+  std::atomic<u64> done_{0};     ///< Chunks of the window expanded so far.
+  std::atomic<u32> gen_{0};      ///< Bumped per window, and to stop.
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;  // Last: the threads use all the above.
+};
+
 }  // namespace
 
 CheckResult check(const ModelConfig& cfg) {
+  return check(cfg, std::thread::hardware_concurrency());
+}
+
+CheckResult check(const ModelConfig& cfg, unsigned workers) {
   const auto t0 = std::chrono::steady_clock::now();
   CheckResult res;
   const std::vector<Op>& alphabet =
       cfg.nharts >= 2 ? all_ops_smp() : all_ops();
   const u64 budget = std::min(cfg.max_states, kMaxStates);
+  workers = std::clamp(workers, 1u, kMaxWorkers);
+  assert(alphabet.size() <= kMaxAlphabet);
   StateLog log;
   const u64 init_key = State::initial().pack();
   log.add(log.probe(init_key, StateLog::hash(init_key)), init_key, 0, 0);
+  // Started at the first level big enough to share; joined before any
+  // return, so check() leaves no thread behind.
+  std::optional<Pool> pool;
 
   const auto finish = [&] {
+    res.workers = pool ? pool->workers() : 1;
+    pool.reset();
     res.states = log.size();
     res.wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
@@ -724,70 +951,93 @@ CheckResult check(const ModelConfig& cfg) {
     return res;
   };
 
-  // One expanded state's successors, in alphabet order.
-  struct Pending {
-    u64 key;
-    u64 hash;
-    u8 op;
-    u8 violations;
-  };
-  std::vector<Pending> batch;
-  batch.reserve(alphabet.size());
-
-  u32 depth = 0;
-  u64 level_end = 1;  // One past the last id of level `depth`.
-  for (u64 head = 0; head < log.size(); ++head) {
-    if (head == level_end) {
-      ++depth;
-      level_end = log.size();
+  // Records state `id`'s successors `p` (hashes `hash`) in alphabet order,
+  // exactly as if all `nsucc` of them were here; `n` survived expansion
+  // (the others were already visited and violate nothing). False once
+  // stop_after_violated is met: `transitions` then counts up to the
+  // successor that met it.
+  const auto merge = [&](u32 id, const Pending* p, const u64* hash, u32 n,
+                         u32 nsucc) {
+    for (u32 i = 0; i < n; ++i) {
+      if (p[i].violations != 0) {
+        for (unsigned b = 0; b < kNumProps; ++b) {
+          const u8 bit = static_cast<u8>(1u << b);
+          if ((p[i].violations & bit) != 0 && (res.props_violated & bit) == 0) {
+            res.props_violated |= bit;
+            res.counterexamples.push_back(rebuild_counterexample(
+                b, cfg, alphabet, log, id, alphabet[p[i].op]));
+          }
+        }
+        if (cfg.stop_after_violated != 0 &&
+            (res.props_violated & cfg.stop_after_violated) ==
+                cfg.stop_after_violated) {
+          res.transitions += p[i].ordinal + 1u;
+          res.early_stopped = true;
+          return false;
+        }
+      }
+      u32& slot = log.probe(p[i].key, hash[i]);
+      if (slot != StateLog::kEmpty) continue;
+      if (log.size() >= budget) {
+        res.state_capped = true;
+        continue;
+      }
+      log.add(slot, p[i].key, id, p[i].op);
     }
+    res.transitions += nsucc;
+    return true;
+  };
+
+  Pending batch[kMaxAlphabet];
+  u64 hash[kMaxAlphabet];
+  std::unique_ptr<u64[]> chunk_hash;  // A chunk's survivor hashes.
+  u64 begin = 0;  // The level being expanded is ids [begin, end).
+  u64 end = 1;
+  for (u32 depth = 0; begin < end; ++depth) {
     res.depth = depth;
     if (depth >= cfg.max_depth) {
       // Every state left in the log sits at this depth: none is expanded.
       res.depth_capped = true;
       break;
     }
-    const u32 id = static_cast<u32>(head);
-    const State s = State::unpack(log.key(id));
-    // Apply the whole alphabet first, prefetching each successor's slot
-    // and then its key, so the table's cache misses overlap; the loop below
-    // still probes and inserts one successor at a time in alphabet order.
-    batch.clear();
-    for (size_t o = 0; o < alphabet.size(); ++o) {
-      const auto suc = apply(s, alphabet[o], cfg);
-      if (!suc) continue;
-      const u64 key = suc->next.pack();
-      const u64 hash = StateLog::hash(key);
-      log.prefetch_slot(hash);
-      batch.push_back({key, hash, static_cast<u8>(o), suc->violations});
-    }
-    for (const Pending& p : batch) log.prefetch_key(p.hash);
-    for (const Pending& p : batch) {
-      ++res.transitions;
-      if (p.violations != 0) {
-        for (unsigned i = 0; i < kNumProps; ++i) {
-          const u8 bit = static_cast<u8>(1u << i);
-          if ((p.violations & bit) != 0 && (res.props_violated & bit) == 0) {
-            res.props_violated |= bit;
-            res.counterexamples.push_back(rebuild_counterexample(
-                i, cfg, alphabet, log, id, alphabet[p.op]));
+    if (workers > 1 && end - begin >= kParallelMinStates) {
+      if (!pool) {
+        pool.emplace(log, alphabet, cfg, workers);
+        chunk_hash = std::make_unique_for_overwrite<u64[]>(kChunkStates *
+                                                           alphabet.size());
+      }
+      for (u64 first = begin; first < end;) {
+        const u64 last = std::min(end, first + pool->window_states());
+        u64 id = first;
+        for (const Chunk& c : pool->expand(first, last)) {
+          // Overlap the table misses of the whole chunk, as the inline path
+          // does for one state's successors.
+          const Pending* p = c.out.get();
+          u64* h = chunk_hash.get();
+          for (u64 i = 0; i < c.survivors; ++i) {
+            h[i] = StateLog::hash(p[i].key);
+            log.prefetch_slot(h[i]);
+          }
+          for (u64 i = 0; i < c.survivors; ++i) log.prefetch_key(h[i]);
+          for (u64 j = 0; j < c.states; ++j, ++id) {
+            if (!merge(static_cast<u32>(id), p, h, c.kept[j], c.nsucc[j]))
+              return finish();
+            p += c.kept[j];
+            h += c.kept[j];
           }
         }
-        if (cfg.stop_after_violated != 0 &&
-            (res.props_violated & cfg.stop_after_violated) ==
-                cfg.stop_after_violated) {
-          res.early_stopped = true;
-          return finish();
-        }
+        first = last;
       }
-      u32& slot = log.probe(p.key, p.hash);
-      if (slot != StateLog::kEmpty) continue;
-      if (log.size() >= budget) {
-        res.state_capped = true;
-        continue;
+    } else {
+      for (u64 id = begin; id < end; ++id) {
+        const u32 n = successors(State::unpack(log.key(id)), alphabet, cfg,
+                                 log, batch, hash);
+        for (u32 i = 0; i < n; ++i) log.prefetch_key(hash[i]);
+        if (!merge(static_cast<u32>(id), batch, hash, n, n)) return finish();
       }
-      log.add(slot, p.key, id, p.op);
     }
+    begin = end;
+    end = log.size();
   }
   res.complete = !res.depth_capped && !res.state_capped;
   return finish();
@@ -1027,6 +1277,7 @@ std::string to_json(const CheckResult& r) {
       .begin_object()
       .kv("wall_s", r.wall_s)
       .kv("states_per_s", r.states_per_s())
+      .kv("workers", static_cast<u64>(r.workers))
       .end_object();
   w.end_object();
   return os.str();

@@ -42,13 +42,17 @@
 //
 // The checker is a BFS over packed 58-bit states, so every counterexample
 // is shortest-first. Its whole search structure is one flat state log: the
-// packed keys in insertion order (which *is* BFS order, so a head index is
-// the queue and level boundaries give the depth), a u32 parent id and a u8
+// packed keys in insertion order (which *is* BFS order, so each level is a
+// range of ids and level boundaries give the depth), a u32 parent id and a u8
 // alphabet index per state, and an open-addressed table of u32 ids for
 // dedup. That is 13 bytes per state in the log plus 8-16 in the table (two
 // to four slots per state). The state being expanded is rebuilt with
 // State::unpack; a counterexample is rebuilt by walking parent ids and
 // replaying the ops, which is the only time apply() renders a note.
+// Large levels are expanded by a pool of workers in chunks; each worker
+// drops the successors already in the table, and the calling thread merges
+// the rest in BFS order, so ids, counts and counterexamples do not depend
+// on the worker count.
 //
 // Each ModelConfig defence flag mirrors one concrete kernel/PMP knob, which
 // is what lets ptmc's counterexamples be replayed op-for-op against the
@@ -273,6 +277,9 @@ struct CheckResult {
   /// Host wall time of the search, in seconds. Varies run to run: it is not
   /// part of format(), and to_json() keeps it under its own "host" key.
   double wall_s = 0;
+  /// Threads that expanded BFS levels: 1 when every level was small enough
+  /// for the calling thread alone. A host detail, kept beside wall_s.
+  unsigned workers = 1;
   /// First (= shortest) counterexample per violated property.
   std::vector<Counterexample> counterexamples;
 
@@ -285,8 +292,14 @@ struct CheckResult {
   std::string format() const;
 };
 
-/// BFS over the reachable states of `cfg`'s transition system.
+/// BFS over the reachable states of `cfg`'s transition system, on
+/// std::thread::hardware_concurrency() workers.
 CheckResult check(const ModelConfig& cfg);
+/// The same search on `workers` threads (clamped to 1..64). Levels of at
+/// least 1024 states are cut into chunks that the workers expand side by
+/// side; the calling thread merges them in BFS order, so everything but the
+/// host fields (wall_s, workers) is identical for every worker count.
+CheckResult check(const ModelConfig& cfg, unsigned workers);
 
 // ---------------------------------------------------------------------------
 // Mutation matrix: for each defence, the *minimal* set of knobs to disable
@@ -319,7 +332,7 @@ std::optional<ModelConfig> backend_model(std::string_view name,
 /// Counterexample as a GraphViz digraph (one node per state along the trace).
 std::string to_dot(const Counterexample& ce);
 /// CheckResult (including counterexample traces) as a JSON document. Its
-/// top-level "host" object {wall_s, states_per_s} is the one key that varies
+/// top-level "host" object {wall_s, states_per_s, workers} is the one key that varies
 /// run to run: byte comparisons of ptmc JSON must ignore it (as campaign
 /// reports' timing block is ignored).
 std::string to_json(const CheckResult& r);

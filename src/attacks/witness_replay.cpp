@@ -71,6 +71,22 @@ std::string hex(u64 v) {
 
 }  // namespace
 
+std::vector<u64> pages_spanned(u64 addr, u64 len) {
+  std::vector<u64> pages;
+  if (len == 0) return pages;
+  // The last byte, clamped to the top of the address space.
+  const u64 span = len - 1;
+  const u64 last_byte = addr > ~u64{0} - span ? ~u64{0} : addr + span;
+  const u64 last = last_byte & ~(kPageSize - 1);
+  // Stop *at* the last page: a bound of `p < addr + len` never holds false
+  // in the top page, where addr + len wraps to 0.
+  for (u64 p = addr & ~(kPageSize - 1);; p += kPageSize) {
+    pages.push_back(p);
+    if (p == last) break;
+  }
+  return pages;
+}
+
 WitnessReplayReport replay_witness(const analysis::Image& img,
                                    const WitnessTrace& t,
                                    BackendKind backend) {
@@ -112,8 +128,7 @@ WitnessReplayReport replay_witness(const analysis::Image& img,
 
   std::set<u64> pages;
   for (const auto& [addr, len] : ranges)
-    for (u64 p = addr & ~(kPageSize - 1); p < addr + len; p += kPageSize)
-      pages.insert(p);
+    for (const u64 p : pages_spanned(addr, len)) pages.insert(p);
 
   // Back pages no DRAM or device covers with scratch RAM pages.
   std::vector<std::unique_ptr<RamPage>> scratch;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "analysis/image.h"
 #include "analysis/symexec/witness.h"
@@ -29,6 +30,11 @@ struct WitnessReplayReport {
   std::string detail;      ///< What verified, or first divergence.
   u64 steps = 0;           ///< Instructions actually retired.
 };
+
+/// The pages holding the bytes [addr, addr + len), in ascending order; the
+/// range is clamped to the top of the address space, never wrapped to page
+/// 0. Empty when len == 0.
+std::vector<u64> pages_spanned(u64 addr, u64 len);
 
 /// Replay `t` (a witness for a diagnostic in `img`) on a fresh System
 /// configured for `backend`. Returns ok only when every pc on the path is

@@ -274,6 +274,8 @@ TEST(Ptmc, JsonExportParsesWithExpectedSchema) {
   ASSERT_NE(host->find("wall_s"), nullptr);
   ASSERT_NE(host->find("states_per_s"), nullptr);
   EXPECT_GE(host->find("wall_s")->number, 0);
+  ASSERT_NE(host->find("workers"), nullptr);
+  EXPECT_EQ(host->find("workers")->number, res.workers);
 }
 
 TEST(Ptmc, FormatSummarisesVerdicts) {
@@ -398,6 +400,70 @@ TEST(Ptmc, SmpIpiMutationBreaksP2WithStaleRootWitness) {
   // the IPI is unobservable and would poison the matrix with a vacuous row.
   for (const MutationEntry& m : mutation_matrix(ModelConfig{})) {
     EXPECT_NE(std::string(m.name), "ipi");
+  }
+}
+
+// ---- Parallel search ---------------------------------------------------------
+
+/// to_json() minus its run-to-run "host" object.
+std::string json_without_host(CheckResult r) {
+  r.wall_s = 0;
+  r.workers = 1;
+  return to_json(r);
+}
+
+// Every worker count must give the serial search's result: the same ids
+// (so the same shortest counterexamples), counts and flags. Each
+// configuration has a level of at least 1024 states, so the worker pool
+// really runs; the early stop, the state budget and the depth bound each
+// cut a pooled level short.
+TEST(Ptmc, WorkerCountInvariance) {
+  ModelConfig smp;
+  smp.nharts = 2;
+  smp.max_states = 2'000'000;
+  smp.max_depth = 18;
+  ModelConfig ipi;
+  for (const MutationEntry& m : mutation_matrix(smp)) {
+    if (std::string(m.name) != "ipi") continue;
+    ipi = m.cfg;
+    ipi.stop_after_violated = m.must_break;
+  }
+  ASSERT_EQ(ipi.nharts, 2u) << "mutation matrix lost its ipi entry";
+  ModelConfig state_capped;
+  state_capped.max_states = 5'000;
+  ModelConfig depth_capped = smp;
+  depth_capped.max_depth = 6;
+  const std::pair<const char*, ModelConfig> configs[] = {
+      {"1-hart closure", ModelConfig{}},
+      {"2-hart dpti closure", *backend_model("dpti", 2)},
+      {"2-hart ipi early stop", ipi},
+      {"state-capped", state_capped},
+      {"depth-capped", depth_capped},
+  };
+  for (const auto& [name, cfg] : configs) {
+    SCOPED_TRACE(name);
+    const CheckResult serial = check(cfg, 1);
+    EXPECT_EQ(serial.workers, 1u);
+    for (const unsigned workers : {2u, 3u, 8u}) {
+      SCOPED_TRACE(workers);
+      const CheckResult par = check(cfg, workers);
+      EXPECT_EQ(par.workers, workers) << "the worker pool never ran";
+      EXPECT_EQ(par.format(), serial.format());
+      EXPECT_EQ(json_without_host(par), json_without_host(serial));
+      ASSERT_EQ(par.counterexamples.size(), serial.counterexamples.size());
+      for (size_t c = 0; c < par.counterexamples.size(); ++c) {
+        const Counterexample& a = par.counterexamples[c];
+        const Counterexample& b = serial.counterexamples[c];
+        EXPECT_EQ(a.prop, b.prop);
+        ASSERT_EQ(a.steps.size(), b.steps.size());
+        for (size_t i = 0; i < a.steps.size(); ++i) {
+          EXPECT_EQ(describe(a.steps[i].op), describe(b.steps[i].op));
+          EXPECT_EQ(a.steps[i].after.pack(), b.steps[i].after.pack());
+          EXPECT_EQ(a.steps[i].note, b.steps[i].note);
+          EXPECT_EQ(a.steps[i].violations, b.steps[i].violations);
+        }
+      }
+    }
   }
 }
 

@@ -109,5 +109,26 @@ TEST(WitnessReplay, OutOfDramWitnessGetsScratchBacking) {
   EXPECT_TRUE(r.ok) << r.detail;
 }
 
+TEST(WitnessReplay, PagesSpannedStopsAtTheTopOfTheAddressSpace) {
+  EXPECT_EQ(pages_spanned(0xfffffffffffffff0, 8),
+            std::vector<u64>{0xfffffffffffff000});
+  EXPECT_EQ(pages_spanned(0xfffffffffffffff8, 16),
+            std::vector<u64>{0xfffffffffffff000});
+  EXPECT_EQ(pages_spanned(0x1ffc, 8), (std::vector<u64>{0x1000, 0x2000}));
+  EXPECT_EQ(pages_spanned(0x1000, kPageSize), std::vector<u64>{0x1000});
+  EXPECT_TRUE(pages_spanned(0x1000, 0).empty());
+}
+
+TEST(WitnessReplay, CellInTheTopPageFinishes) {
+  // A witness cell in the last page of the address space once made the page
+  // loop wrap to 0 and collect pages until memory ran out. It is one page,
+  // scratch-mapped like any other unbacked address.
+  WitnessTrace t = store_witness();
+  t.mem_cells.push_back({0xfffffffffffffff0, 0x1234, 8});
+  const auto r = replay_witness(store_image(), t, BackendKind::kPtstore);
+  EXPECT_TRUE(r.ok) << r.detail;
+  EXPECT_EQ(r.steps, u64{2});
+}
+
 }  // namespace
 }  // namespace ptstore::attacks

@@ -14,10 +14,10 @@
 //                              expected to violate, like --mutate
 //   ptmc --dot FILE            write the first counterexample as GraphViz
 //   ptmc --json [FILE]         emit the CheckResult as JSON, with a "host"
-//                              object {wall_s, states_per_s}
+//                              object {wall_s, states_per_s, workers}
 //
-// Every single check also prints a "host:" line (wall time, states/s) on
-// stderr, so stdout stays byte-stable across runs.
+// Every single check also prints a "host:" line (wall time, states/s,
+// workers) on stderr, so stdout stays byte-stable across runs.
 //
 // Exit codes: 0 = expectations met, 1 = property/expectation failure,
 // 2 = usage error (including a malformed or out-of-range number).
@@ -89,9 +89,9 @@ void print_result(const mc::CheckResult& res, bool verbose) {
 /// Host timing goes to stderr: it varies run to run, and stdout is compared
 /// byte for byte against golden transcripts.
 void print_host(const char* mutation, const mc::CheckResult& res) {
-  std::fprintf(stderr, "host:%s%s %.3f s wall, %.0f states/s\n",
+  std::fprintf(stderr, "host:%s%s %.3f s wall, %.0f states/s, %u worker(s)\n",
                *mutation != '\0' ? " mutation " : "", mutation, res.wall_s,
-               res.states_per_s());
+               res.states_per_s(), res.workers);
 }
 
 /// Replay every counterexample: mutated config must reproduce the attack,
